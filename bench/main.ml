@@ -612,7 +612,17 @@ type b4_point = {
   b4_rel_diff : float option;
 }
 
-type b4_report = { b4_points : b4_point list; b4_failures : string list }
+(* The same allocation gate for the other streamed kernels: each policy
+   over one stream through [Run.measure_stream] (the sink folds
+   included), as (policy name, seconds, allocated words). *)
+type b4_policy_point = { b4p_name : string; b4p_s : float; b4p_alloc_words : float }
+
+type b4_report = {
+  b4_points : b4_point list;
+  b4_policy_n : int;
+  b4_policy_points : b4_policy_point list;
+  b4_failures : string list;
+}
 
 (* The streamed pipeline must stay O(alive): near-zero allocation per job
    and a peak live heap an order of magnitude under the materialized
@@ -752,7 +762,48 @@ let run_stream_bench () =
         fail "n=%d: materialized heap growth only %.1fx the streamed one (gate %.0fx)" p.b4_n
           ratio b4_min_peak_ratio
   | _ -> ());
-  { b4_points = points; b4_failures = List.rev !failures }
+  (* The streamed SRPT, SETF and hybrid kernels under the same words/job
+     gate: m = 2, load 0.95, Exp(1) sizes, cache off.  Before their hot
+     loops went allocation-free they allocated 43, 202 and 101 words per
+     job here. *)
+  let policy_n = 250_000 in
+  let policy_stream =
+    Rr_workload.Instance.Stream.generate_load ~seed:77
+      ~sizes:(Rr_workload.Distribution.Exponential { mean = 1. })
+      ~load:0.95 ~machines:2 ~n:policy_n ()
+  in
+  let policy_cfg = Run.config ~machines:2 ~cache:false () in
+  let policy_points =
+    List.map
+      (fun spec ->
+        let policy = Rr_policies.Registry.make spec in
+        (* One warm-up pass sizes the arena's heaps. *)
+        ignore (Run.measure_stream policy_cfg policy policy_stream : Run.result);
+        let bytes0 = Gc.allocated_bytes () in
+        let t0 = Unix.gettimeofday () in
+        ignore (Run.measure_stream policy_cfg policy policy_stream : Run.result);
+        let b4p_s = Unix.gettimeofday () -. t0 in
+        let b4p_alloc_words = (Gc.allocated_bytes () -. bytes0) /. 8. in
+        { b4p_name = policy.Rr_engine.Policy.name; b4p_s; b4p_alloc_words })
+      Rr_policies.Registry.[ Srpt; Setf; Hybrid 3. ]
+  in
+  List.iter
+    (fun p ->
+      let wpj = p.b4p_alloc_words /. Float.of_int policy_n in
+      if wpj > b4_max_words_per_job then
+        fail "%s: streamed allocation %.1f words/job exceeds %.0f" p.b4p_name wpj
+          b4_max_words_per_job;
+      Printf.printf "B4: %-12s n=%-9d streamed %8.0f jobs/s, %6.1f words/job (m=2, load 0.95)\n%!"
+        p.b4p_name policy_n
+        (Float.of_int policy_n /. Float.max 1e-9 p.b4p_s)
+        wpj)
+    policy_points;
+  {
+    b4_points = points;
+    b4_policy_n = policy_n;
+    b4_policy_points = policy_points;
+    b4_failures = List.rev !failures;
+  }
 
 let stream_json_file = "BENCH_stream.json"
 
@@ -788,6 +839,17 @@ let write_stream_json (b4 : b4_report) =
         (match p.b4_rel_diff with None -> "null" | Some d -> Printf.sprintf "%.3e" d)
         (if i = List.length b4.b4_points - 1 then "" else ","))
     b4.b4_points;
+  add "  ],\n";
+  add "  \"policy_points\": [\n";
+  List.iteri
+    (fun i p ->
+      add
+        "    {\"policy\": %S, \"n\": %d, \"machines\": 2, \"load\": 0.95, \"s\": %.6f, \
+         \"alloc_words\": %.0f, \"words_per_job\": %.2f}%s\n"
+        p.b4p_name b4.b4_policy_n p.b4p_s p.b4p_alloc_words
+        (p.b4p_alloc_words /. Float.of_int b4.b4_policy_n)
+        (if i = List.length b4.b4_policy_points - 1 then "" else ","))
+    b4.b4_policy_points;
   add "  ],\n";
   add "  \"failures\": [%s],\n"
     (String.concat ", " (List.map (Printf.sprintf "%S") b4.b4_failures));

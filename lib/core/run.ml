@@ -130,18 +130,16 @@ let live_run_instance cfg spec ~sink jobs =
 (* Streaming feed: submit one job, advance to its arrival, repeat — the
    pending queue never holds more than one job, so live memory stays
    O(alive) exactly like the closed streaming engines. *)
-let live_run_stream cfg spec ~max_events ~sink pull =
+let live_run_stream cfg spec ~max_events ~sink source =
+  let module Source = Rr_engine.Simulator.Source in
   let live = live_create cfg ~max_events spec in
   Rr_engine.Live.set_sink live sink;
-  let rec feed () =
-    match pull () with
-    | None -> ()
-    | Some (j : Rr_engine.Job.t) ->
-        ignore (Rr_engine.Live.submit live ~arrival:j.arrival ~size:j.size : int);
-        Rr_engine.Live.advance live j.arrival;
-        feed ()
-  in
-  feed ();
+  while Source.has_more source do
+    let arrival = Source.head_arrival source in
+    ignore (Rr_engine.Live.submit live ~arrival ~size:(Source.head_size source) : int);
+    Source.advance source;
+    Rr_engine.Live.advance live arrival
+  done;
   Rr_engine.Live.drain live;
   Rr_engine.Live.query live
 
@@ -191,29 +189,29 @@ let simulate_stream cfg policy stream ~sink =
     Int.max default_max_events (64 * Rr_workload.Instance.Stream.n stream)
   in
   let speed = cfg.speed and machines = cfg.machines in
-  let selection = selection_for cfg policy in
-  (* The equal-share path takes the unboxed raw cursor — that pairing is
-     the repo's zero-alloc streaming pipeline (gated at ~0 words/job by
-     bench B4); the remaining engines pull boxed jobs. *)
-  match selection with
+  (* Every kernel pulls through the unboxed raw cursor: the producer
+     writes (id, arrival, size) into a flat record and no [Job.t] is
+     built per job — the streaming pipeline bench B4 gates at <= 16
+     words per job. *)
+  let source =
+    Rr_engine.Simulator.Source.of_raw (Rr_workload.Instance.Stream.start_raw stream)
+  in
+  match selection_for cfg policy with
   | Equal_share ->
-      Rr_engine.Simulator.run_equal_share_stream_raw ~speed ~max_events ~machines ~sink
-        (Rr_workload.Instance.Stream.start_raw stream)
-  | _ ->
-  let pull = Rr_workload.Instance.Stream.start stream in
-  match selection with
-  | Equal_share -> assert false
-  | Index kind -> Rr_engine.Index_engine.run_stream ~speed ~max_events ~machines ~kind ~sink pull
-  | Setf_cascade -> Rr_engine.Index_engine.run_setf_stream ~speed ~max_events ~machines ~sink pull
+      Rr_engine.Simulator.run_equal_share_stream ~speed ~max_events ~machines ~sink source
+  | Index kind ->
+      Rr_engine.Index_engine.run_stream ~speed ~max_events ~machines ~kind ~sink source
+  | Setf_cascade ->
+      Rr_engine.Index_engine.run_setf_stream ~speed ~max_events ~machines ~sink source
   | Classed kind ->
-      Rr_engine.Class_engine.run_stream ~speed ~max_events ~machines ~kind ~sink pull
+      Rr_engine.Class_engine.run_stream ~speed ~max_events ~machines ~kind ~sink source
   | Hybrid { theta } ->
-      Rr_engine.Hybrid_engine.run_stream ~speed ~max_events ~machines ~theta ~sink pull
+      Rr_engine.Hybrid_engine.run_stream ~speed ~max_events ~machines ~theta ~sink source
   | Budget { budget } ->
-      Rr_engine.Budget_engine.run_stream ~speed ~max_events ~machines ~budget ~sink pull
-  | General -> Rr_engine.Simulator.run_stream ~speed ~max_events ~machines ~policy ~sink pull
+      Rr_engine.Budget_engine.run_stream ~speed ~max_events ~machines ~budget ~sink source
+  | General -> Rr_engine.Simulator.run_stream ~speed ~max_events ~machines ~policy ~sink source
   | Live spec ->
-      let q = live_run_stream cfg spec ~max_events ~sink pull in
+      let q = live_run_stream cfg spec ~max_events ~sink source in
       {
         Rr_engine.Simulator.n = q.Rr_engine.Live.completed;
         events = q.Rr_engine.Live.events;
@@ -358,40 +356,42 @@ let norm cfg policy inst = (measure cfg policy inst).norm
 let power_sum cfg policy inst = (measure cfg policy inst).power_sum
 
 (* Order-of-magnitude per-task cost model for `Auto chunking and
-   executor choice, in microseconds.  The fast-path coefficients are
-   calibrated from the B5 benchmark (BENCH_fastpaths.json, fast_ns /
-   jobs at the quick scale): srpt/sjf/fcfs-index 0.16-0.19, hdf-index
-   0.26, setf-cascade 0.53, laps-dense 0.60, mlfq-ladder 1.43,
-   wrr-age-dense 4.18, hybrid-index 0.71.  Kernels B5 does not time
-   (equal-share, quantum, wrr-static, budget) carry estimates
-   interpolated from their event structure.  Only ratios matter —
-   chunking needs to know that a 40-job probe is ~100x cheaper than a
-   4000-job one and that a fast-pathed baseline is ~10x cheaper than a
-   general-loop one at equal n, not the absolute times. *)
+   executor choice, in microseconds per job of one [measure] task (kernel
+   plus folds).  The coefficients are per-job medians of sequential
+   [Run.measure] passes over the repository benchmark's batch instances
+   (perfbench batch: 192 instances of 500 jobs, m = 2, load 0.95, Exp(1)
+   and BoundedPareto(1.5, 0.5, 50) sizes; 7 interleaved passes, release
+   build, 2-CPU container), taken after the kernels' hot loops went
+   allocation-free: equal-share 0.37, srpt/sjf/fcfs-index 0.38-0.39,
+   hdf-index 0.57, setf-cascade 0.63, laps-dense 0.68, quantum-cycle
+   0.48, mlfq-ladder 1.7, wrr-age-dense 3.4, wrr-static-dense 1.7,
+   hybrid-index 0.71, srpt-mig-index 0.41.  The general loop depends on
+   the policy's own [allocate] (1.6 for rr up to 11 for wrr-static); 2.0
+   is its cheap end.  Only ratios matter — chunking needs to know that a
+   40-job probe is ~100x cheaper than a 4000-job one and that a
+   fast-pathed baseline is several times cheaper than a general-loop one
+   at equal n, not the absolute times. *)
 let estimated_cost_us cfg policy ~jobs =
   let n = Float.of_int jobs in
   let index_cost : Rr_engine.Index_engine.kind -> float = function
-    | Rr_engine.Index_engine.Hdf _ -> 0.3
+    | Rr_engine.Index_engine.Hdf _ -> 0.57
     | Rr_engine.Index_engine.Srpt | Rr_engine.Index_engine.Sjf
     | Rr_engine.Index_engine.Fcfs ->
-        0.2
+        0.38
   in
   let classed_cost : Rr_engine.Class_engine.kind -> float = function
-    | Rr_engine.Class_engine.Laps _ -> 0.6
-    | Rr_engine.Class_engine.Ladder _ -> 1.5
-    | Rr_engine.Class_engine.Quantum _ -> 1.2
-    | Rr_engine.Class_engine.Aged _ -> 4.0
-    | Rr_engine.Class_engine.Sized _ -> 1.0
+    | Rr_engine.Class_engine.Laps _ -> 0.68
+    | Rr_engine.Class_engine.Ladder _ -> 1.7
+    | Rr_engine.Class_engine.Quantum _ -> 0.48
+    | Rr_engine.Class_engine.Aged _ -> 3.4
+    | Rr_engine.Class_engine.Sized _ -> 1.7
   in
   let rec per_job = function
-    | Equal_share -> 0.15
+    | Equal_share -> 0.37
     | Index kind -> index_cost kind
-    | Setf_cascade -> 0.55
-    (* The slot/heap kernels (hybrid, budget) cost a heap operation per
-       event like the indexes, plus slot scans (hybrid's three heaps
-       make it the dearer of the two). *)
-    | Hybrid _ -> 0.7
-    | Budget _ -> 0.4
+    | Setf_cascade -> 0.63
+    | Hybrid _ -> 0.71
+    | Budget _ -> 0.41
     | Classed kind -> classed_cost kind
     | Live spec -> (
         (* Same kernels plus the pending-queue and metric-fold

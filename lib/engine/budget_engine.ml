@@ -19,32 +19,39 @@
    Waiting jobs never run, so their remaining work is frozen and the
    waiting heap needs no staleness handling: a job's entry is popped
    when it is seated and re-pushed (with its current remaining) when it
-   is evicted.  Each event costs O(m + log alive). *)
+   is evicted.  A job's eviction count travels with it — a column of the
+   running slots, a satellite of its waiting entry — so no side table is
+   looked up per event.  Each event costs O(m + log alive). *)
 
 module Heap = Rr_util.Heap
-module Vec = Rr_util.Vec
 module Source = Simulator.Source
-
-type slot = {
-  mutable id : int;
-  mutable arrival : float;
-  mutable size : float;
-  mutable remaining : float;
-}
 
 type state = {
   budget : int;
   machines : int;
   speed : float;
-  slots : slot array;  (* running jobs, packed in [0, n_run) *)
+  clk : Kernel.clock;
+  (* Running jobs, packed in [0, n_run), one column per field: flat
+     arrays, so the per-event stores into [r_remaining] allocate
+     nothing. *)
+  r_id : int array;
+  r_evictions : int array;
+  r_arrival : float array;
+  r_size : float array;
+  r_remaining : float array;
   mutable n_run : int;
-  waiting : Heap.Scalar3.t;  (* key = remaining, aux = arrival, size, remaining *)
-  fresh : Job.t Queue.t;  (* arrivals not yet processed by [refresh] *)
-  evictions : (int, int) Hashtbl.t;
+  waiting : Heap.Scalar3.t;
+      (* key = remaining, val = id, aux1 = arrival, aux2 = size,
+         aux3 = evictions so far *)
+  (* Arrivals not yet processed by [refresh], in admission order. *)
+  mutable f_id : int array;
+  mutable f_arrival : float array;
+  mutable f_size : float array;
+  mutable n_fresh : int;
   mutable alive : int;
 }
 
-(* The waiting heap may be caller-supplied ({!budget_core} borrows it
+(* The waiting heap may be caller-supplied (the closed runs borrow it
    from the per-domain arena); {!create} allocates a fresh one for
    long-lived states like {!Live}. *)
 let create_in ~waiting ~machines ~speed ~budget =
@@ -58,11 +65,18 @@ let create_in ~waiting ~machines ~speed ~budget =
     budget;
     machines;
     speed;
-    slots = Array.init machines (fun _ -> { id = -1; arrival = 0.; size = 0.; remaining = 0. });
+    clk = Kernel.clock ();
+    r_id = Array.make machines (-1);
+    r_evictions = Array.make machines 0;
+    r_arrival = Array.make machines 0.;
+    r_size = Array.make machines 0.;
+    r_remaining = Array.make machines 0.;
     n_run = 0;
     waiting;
-    fresh = Queue.create ();
-    evictions = Hashtbl.create 64;
+    f_id = [||];
+    f_arrival = [||];
+    f_size = [||];
+    n_fresh = 0;
     alive = 0;
   }
 
@@ -70,226 +84,166 @@ let create ~machines ~speed ~budget =
   create_in ~waiting:(Heap.Scalar3.create ()) ~machines ~speed ~budget
 
 let alive st = st.alive
+let clock st = st.clk
 
-let threshold size = 1e-9 *. (1. +. size)
+let[@inline] threshold size = 1e-9 *. (1. +. size)
 
-let admit st (j : Job.t) =
-  Queue.push j st.fresh;
+let grow_fresh st =
+  let cap = Array.length st.f_id in
+  let ncap = Int.max 16 (2 * cap) in
+  let f_id = Array.make ncap 0 and f_arrival = Array.make ncap 0. in
+  let f_size = Array.make ncap 0. in
+  Array.blit st.f_id 0 f_id 0 cap;
+  Array.blit st.f_arrival 0 f_arrival 0 cap;
+  Array.blit st.f_size 0 f_size 0 cap;
+  st.f_id <- f_id;
+  st.f_arrival <- f_arrival;
+  st.f_size <- f_size
+
+let[@inline] admit_job st id arrival size =
+  if st.n_fresh = Array.length st.f_id then grow_fresh st;
+  st.f_id.(st.n_fresh) <- id;
+  st.f_arrival.(st.n_fresh) <- arrival;
+  st.f_size.(st.n_fresh) <- size;
+  st.n_fresh <- st.n_fresh + 1;
   st.alive <- st.alive + 1
 
-let count st id = match Hashtbl.find_opt st.evictions id with Some c -> c | None -> 0
+let admit st ~id ~arrival ~size = admit_job st id arrival size
 
-let push_waiting st ~id ~arrival ~size ~remaining =
-  Heap.Scalar3.add st.waiting ~key:remaining ~aux1:arrival ~aux2:size ~aux3:remaining id
+let admit_head st src =
+  admit_job st (Source.head_id src) (Source.head_arrival src) (Source.head_size src)
+
+let[@inline] seat st i ~id ~arrival ~size ~remaining ~evictions =
+  st.r_id.(i) <- id;
+  st.r_arrival.(i) <- arrival;
+  st.r_size.(i) <- size;
+  st.r_remaining.(i) <- remaining;
+  st.r_evictions.(i) <- evictions
 
 let pop_into_free_slot st =
-  let arrival = Heap.Scalar3.min_aux1_exn st.waiting in
-  let size = Heap.Scalar3.min_aux2_exn st.waiting in
-  let remaining = Heap.Scalar3.min_aux3_exn st.waiting in
-  let id = Heap.Scalar3.pop_exn st.waiting in
-  let s = st.slots.(st.n_run) in
-  s.id <- id;
-  s.arrival <- arrival;
-  s.size <- size;
-  s.remaining <- remaining;
+  let w = st.waiting in
+  let remaining = Heap.Scalar3.min_key_exn w in
+  let arrival = Heap.Scalar3.min_aux1_exn w in
+  let size = Heap.Scalar3.min_aux2_exn w in
+  let evictions = int_of_float (Heap.Scalar3.min_aux3_exn w) in
+  let id = Heap.Scalar3.pop_exn w in
+  seat st st.n_run ~id ~arrival ~size ~remaining ~evictions;
   st.n_run <- st.n_run + 1
 
 (* Mirror of one [allocate] call: refill from the waiting set, then
    process buffered arrivals in admission order. *)
-let refresh st ~now:_ =
+let refresh st =
   while st.n_run < st.machines && Heap.Scalar3.length st.waiting > 0 do
     pop_into_free_slot st
   done;
-  while not (Queue.is_empty st.fresh) do
-    let j = Queue.pop st.fresh in
+  for f = 0 to st.n_fresh - 1 do
+    let id = st.f_id.(f) and arrival = st.f_arrival.(f) and size = st.f_size.(f) in
     if st.n_run < st.machines then begin
-      let s = st.slots.(st.n_run) in
-      s.id <- j.Job.id;
-      s.arrival <- j.arrival;
-      s.size <- j.size;
-      s.remaining <- j.size;
+      seat st st.n_run ~id ~arrival ~size ~remaining:size ~evictions:0;
       st.n_run <- st.n_run + 1
     end
     else begin
       (* Weakest evictable incumbent under (remaining, id). *)
       let weak = ref (-1) in
       for i = 0 to st.n_run - 1 do
-        let s = st.slots.(i) in
-        if count st s.id < st.budget then
-          match !weak with
-          | -1 -> weak := i
-          | w ->
-              let sw = st.slots.(w) in
-              if s.remaining > sw.remaining || (s.remaining = sw.remaining && s.id > sw.id)
-              then weak := i
+        if st.r_evictions.(i) < st.budget then
+          if
+            !weak < 0
+            || st.r_remaining.(i) > st.r_remaining.(!weak)
+            || (st.r_remaining.(i) = st.r_remaining.(!weak) && st.r_id.(i) > st.r_id.(!weak))
+          then weak := i
       done;
-      match !weak with
-      | -1 -> push_waiting st ~id:j.Job.id ~arrival:j.arrival ~size:j.size ~remaining:j.size
-      | w ->
-          let sw = st.slots.(w) in
-          if j.Job.size < sw.remaining || (j.Job.size = sw.remaining && j.Job.id < sw.id)
-          then begin
-            push_waiting st ~id:sw.id ~arrival:sw.arrival ~size:sw.size ~remaining:sw.remaining;
-            Hashtbl.replace st.evictions sw.id (count st sw.id + 1);
-            sw.id <- j.Job.id;
-            sw.arrival <- j.arrival;
-            sw.size <- j.size;
-            sw.remaining <- j.size
-          end
-          else push_waiting st ~id:j.Job.id ~arrival:j.arrival ~size:j.size ~remaining:j.size
+      let w = !weak in
+      if w >= 0 && (size < st.r_remaining.(w) || (size = st.r_remaining.(w) && id < st.r_id.(w)))
+      then begin
+        Heap.Scalar3.add st.waiting ~key:st.r_remaining.(w) ~aux1:st.r_arrival.(w)
+          ~aux2:st.r_size.(w)
+          ~aux3:(Float.of_int (st.r_evictions.(w) + 1))
+          st.r_id.(w);
+        seat st w ~id ~arrival ~size ~remaining:size ~evictions:0
+      end
+      else Heap.Scalar3.add st.waiting ~key:size ~aux1:arrival ~aux2:size ~aux3:0. id
     end
-  done
+  done;
+  st.n_fresh <- 0
 
 (* The policy never emits a horizon: internal events are completions of
    the running set (rate 1 each). *)
-let next_internal st ~now =
+let next_internal st =
+  let now = st.clk.now in
   let t = ref Float.infinity in
   for i = 0 to st.n_run - 1 do
-    let c = now +. (st.slots.(i).remaining /. st.speed) in
+    let c = now +. (st.r_remaining.(i) /. st.speed) in
     if c < !t then t := c
   done;
-  !t
+  st.clk.t_next <- !t
 
-let advance st ~dt =
-  let adv = st.speed *. dt in
+let advance st =
+  let adv = st.speed *. (st.clk.t_next -. st.clk.now) in
   for i = 0 to st.n_run - 1 do
-    let s = st.slots.(i) in
-    s.remaining <- s.remaining -. adv
+    st.r_remaining.(i) <- st.r_remaining.(i) -. adv
   done
 
-let settle st ~now ~complete =
+let settle st out =
   for i = st.n_run - 1 downto 0 do
-    let s = st.slots.(i) in
-    if s.remaining <= threshold s.size then begin
-      complete s.id s.arrival now;
-      Hashtbl.remove st.evictions s.id;
+    if st.r_remaining.(i) <= threshold st.r_size.(i) then begin
+      Kernel.emit st.clk out st.r_id.(i) st.r_arrival.(i);
       st.alive <- st.alive - 1;
-      (* Pack the running prefix: swap the retiring slot with the last
+      (* Pack the running prefix: the last slot moves into the retiring
          one.  Indices below [i] are untouched, so the downward sweep
          stays valid. *)
       let last = st.n_run - 1 in
-      if i <> last then begin
-        let l = st.slots.(last) in
-        st.slots.(last) <- s;
-        st.slots.(i) <- l
-      end;
+      if i <> last then
+        seat st i ~id:st.r_id.(last) ~arrival:st.r_arrival.(last) ~size:st.r_size.(last)
+          ~remaining:st.r_remaining.(last) ~evictions:st.r_evictions.(last);
       st.n_run <- last
     end
   done
 
+let trace_entries st =
+  let entries = Array.make st.alive { Trace.job = -1; arrival = 0.; rate = 0. } in
+  let next = ref 0 in
+  let add id arrival rate =
+    entries.(!next) <- { Trace.job = id; arrival; rate };
+    incr next
+  in
+  for i = 0 to st.n_run - 1 do
+    add st.r_id.(i) st.r_arrival.(i) 1.
+  done;
+  Heap.Scalar3.iter (fun _key id arrival _size _evictions -> add id arrival 0.) st.waiting;
+  for f = 0 to st.n_fresh - 1 do
+    add st.f_id.(f) st.f_arrival.(f) 0.
+  done;
+  entries
+
+let ops =
+  {
+    Kernel.clock_of = clock;
+    alive;
+    admit_head;
+    refresh;
+    next_internal;
+    advance;
+    settle;
+    trace_entries;
+  }
+
 (* ------------------------------------------------------------------ *)
-(* Closed event loop                                                   *)
+(* Closed runs                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let budget_core ~record_trace ~speed ~max_events ~machines ~budget ~(source : Source.t)
-    ~(complete : int -> float -> float -> unit) =
-  let scratch = Arena.borrow () in
-  Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
-  let st = create_in ~waiting:(Arena.scalar3_of scratch) ~machines ~speed ~budget in
-  let next_arr = ref (Source.next_arrival source) in
-  let max_alive = ref 0 in
-  let admit_upto now =
-    while !next_arr <= now do
-      (match Source.next source with Some j -> admit st j | None -> ());
-      next_arr := Source.next_arrival source
-    done;
-    if st.alive > !max_alive then max_alive := st.alive
-  in
-  let completed = ref 0 in
-  let makespan = ref 0. in
-  let events = ref 0 in
-  let complete' id arrival t =
-    complete id arrival t;
-    incr completed;
-    makespan := t
-  in
-  let trace_arena : Trace.segment Vec.t = Arena.segments_of scratch in
-  let push_trace ~t0 ~t1 =
-    let entries = Array.make st.alive { Trace.job = -1; arrival = 0.; rate = 0. } in
-    let next = ref 0 in
-    for i = 0 to st.n_run - 1 do
-      let s = st.slots.(i) in
-      entries.(!next) <- { Trace.job = s.id; arrival = s.arrival; rate = 1. };
-      incr next
-    done;
-    Heap.Scalar3.iter
-      (fun _key id arrival _size _remaining ->
-        entries.(!next) <- { Trace.job = id; arrival; rate = 0. };
-        incr next)
-      st.waiting;
-    Queue.iter
-      (fun (j : Job.t) ->
-        entries.(!next) <- { Trace.job = j.id; arrival = j.arrival; rate = 0. };
-        incr next)
-      st.fresh;
-    Vec.push trace_arena { Trace.t0; t1; alive = entries }
-  in
-  let now = ref (match Source.peek source with Some j -> j.Job.arrival | None -> 0.) in
-  admit_upto !now;
-  while st.alive > 0 || Source.has_more source do
-    incr events;
-    if !events > max_events then
-      raise (Simulator.Event_limit_exceeded { limit = max_events; now = !now });
-    if st.alive = 0 then begin
-      now := !next_arr;
-      admit_upto !now
-    end
-    else begin
-      refresh st ~now:!now;
-      let t_next = ref (next_internal st ~now:!now) in
-      if !next_arr < !t_next then t_next := !next_arr;
-      if not (Float.is_finite !t_next) then
-        raise
-          (Simulator.Invalid_allocation
-             "alive jobs receive no service and no arrival or horizon is pending");
-      let dt = !t_next -. !now in
-      assert (dt > 0.);
-      if record_trace then push_trace ~t0:!now ~t1:!t_next;
-      advance st ~dt;
-      now := !t_next;
-      settle st ~now:!now ~complete:complete';
-      admit_upto !now
-    end
-  done;
-  ( {
-      Simulator.n = !completed;
-      events = !events;
-      machines;
-      speed;
-      makespan = !makespan;
-      max_alive = !max_alive;
-    },
-    Vec.to_list trace_arena )
+let in_arena ~machines ~speed ~budget scratch =
+  create_in ~waiting:(Arena.scalar3_of scratch) ~machines ~speed ~budget
 
 let no_sink : Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
 
 let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink = no_sink)
     ~machines ~budget jobs =
-  let n = Simulator.validate_jobs jobs in
-  let jobs_arr = Simulator.jobs_by_id jobs n in
-  let order = Simulator.release_order jobs n in
-  let completions = Array.make n Float.nan in
-  let complete id arrival now =
-    completions.(id) <- now;
-    sink ~id ~arrival ~flow:(now -. arrival)
-  in
-  let summary, trace =
-    budget_core ~record_trace ~speed ~max_events ~machines ~budget
-      ~source:(Source.of_array order) ~complete
-  in
-  {
-    Simulator.jobs = jobs_arr;
-    completions;
-    trace;
-    machines;
-    speed;
-    events = summary.Simulator.events;
-  }
+  Kernel.run ~record_trace ~speed ~max_events ~sink ~machines
+    (in_arena ~machines ~speed ~budget)
+    ops jobs
 
-let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~budget ~sink pull =
-  let complete id arrival now = sink ~id ~arrival ~flow:(now -. arrival) in
-  let summary, _trace =
-    budget_core ~record_trace:false ~speed ~max_events ~machines ~budget
-      ~source:(Source.of_fn pull) ~complete
-  in
-  summary
+let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~budget ~sink source =
+  Kernel.run_stream ~speed ~max_events ~sink ~machines
+    (in_arena ~machines ~speed ~budget)
+    ops source

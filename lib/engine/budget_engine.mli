@@ -7,10 +7,15 @@
     policy's transition order exactly (completions free machines, the
     waiting set refills them before same-instant arrivals are
     considered, arrivals challenge the weakest evictable incumbent).
-    Each event costs O(m + log alive). *)
+    Each event costs O(m + log alive).  Per {!Kernel}'s hot-path rule
+    the running slots are flat per-field arrays and a job's eviction
+    count travels with it (no side table): an event allocates nothing. *)
 
-(** {2 Incremental primitives} (driven by the {!Live} engine; the state
-    contains no closures, so snapshots can [Marshal] it) *)
+(** {2 Incremental primitives}
+
+    Driven by the {!Live} engine through {!ops} and the state's
+    {!Kernel.clock}.  The state contains no closures, so snapshots can
+    [Marshal] it. *)
 
 type state
 
@@ -20,18 +25,14 @@ val create : machines:int -> speed:float -> budget:int -> state
 
 val alive : state -> int
 
-val admit : state -> Job.t -> unit
+val admit : state -> id:int -> arrival:float -> size:float -> unit
 (** Buffer a released job (in non-decreasing arrival order, distinct
-    ids); the next {!refresh} processes it after refilling from the
+    ids); the next [refresh] processes it after refilling from the
     waiting set. *)
 
-val refresh : state -> now:float -> unit
-(** Mirror of one [allocate] call.  Run exactly once per event, after
-    {!settle} and admissions. *)
-
-val next_internal : state -> now:float -> float
-val advance : state -> dt:float -> unit
-val settle : state -> now:float -> complete:(int -> float -> float -> unit) -> unit
+val ops : state Kernel.ops
+(** [refresh] is the mirror of one [allocate] call.  Run exactly once
+    per event, after [settle] and admissions. *)
 
 (** {2 Closed runs} *)
 
@@ -52,5 +53,5 @@ val run_stream :
   machines:int ->
   budget:int ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  Simulator.Source.t ->
   Simulator.summary

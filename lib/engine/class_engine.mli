@@ -31,12 +31,18 @@ val class_of_kind : kind -> Policy_class.t
 
 (** {2 Incremental primitives}
 
-    The building blocks the {!Live} engine drives directly: one
-    {!refresh} per event (never per split — cached rates are what keep
-    WRR-age's drifting weights split-safe), {!advance} for any prefix of
-    the interval, {!settle} + admissions after each event.  The closed
-    {!run} / {!run_stream} below drive the same primitives.  The state
-    contains no closures, so live snapshots can [Marshal] it. *)
+    The building blocks the {!Live} engine drives directly, through
+    {!ops} and the state's {!Kernel.clock}: one [refresh] per event
+    (never per split — cached rates are what keep WRR-age's drifting
+    weights split-safe), [advance] for any prefix of the interval,
+    [settle] + admissions after each event.  The closed {!run} /
+    {!run_stream} below drive the same primitives through {!Kernel}.
+    The state contains no closures, so live snapshots can [Marshal] it.
+
+    The per-event primitives follow {!Kernel}'s hot-path rule: per-job
+    state is an all-float record (the id rides along as a float), the
+    ladder's thresholds are a table built by {!create}, and WRR-static's
+    weight is computed once at admission. *)
 
 type state
 
@@ -46,26 +52,11 @@ val create : machines:int -> speed:float -> kind -> state
 
 val alive : state -> int
 
-val admit : state -> Job.t -> unit
+val admit : state -> id:int -> arrival:float -> size:float -> unit
 (** Admit a released job.  Jobs must be admitted in (arrival asc,
     id asc) order — the order every {!Simulator.Source} produces. *)
 
-val refresh : state -> now:float -> unit
-(** Recompute every cached rate and the decision horizon: the mirror of
-    one [allocate] call.  Run exactly once per event, after {!settle}
-    and admissions. *)
-
-val next_internal : state -> now:float -> float
-(** Earliest internal event under the cached decision (analytic
-    completion or horizon); [infinity] when neither is pending.  The
-    caller folds in the next arrival. *)
-
-val advance : state -> dt:float -> unit
-(** Advance served jobs by the cached rates for [dt > 0]. *)
-
-val settle : state -> now:float -> complete:(int -> float -> float -> unit) -> unit
-(** Retire completed jobs, reporting each as
-    [complete id arrival now]. *)
+val ops : state Kernel.ops
 
 (** {2 Closed runs} *)
 
@@ -89,8 +80,8 @@ val run_stream :
   machines:int ->
   kind:kind ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  Simulator.Source.t ->
   Simulator.summary
-(** Streaming run: jobs are pulled on demand in non-decreasing arrival
-    order with distinct ids, flows go to the sink, and only O(alive)
-    state plus O(1) aggregates stay resident. *)
+(** Streaming run: jobs are pulled from the source on demand (in
+    non-decreasing arrival order with distinct ids), flows go to the
+    sink, and only O(alive) state plus O(1) aggregates stay resident. *)

@@ -16,14 +16,18 @@
    too and the two event sequences — hence the floats — coincide
    exactly.
 
-   Waiting heaps hold job ids only; the per-id record carries the
-   authoritative fields.  Entries go stale when a job is seated,
-   promoted, or completed; stale tops are lazily popped (a job re-enters
-   a heap with a key no larger than its old entries, so the live entry
-   always surfaces first). *)
+   Per-job state lives in a pool of flat arrays indexed by a recycled
+   slot (no hash table, no per-job record with boxed float fields).
+   Heap entries carry the job id as the payload — the (key, id) order
+   the mirror policy ranks by — and the pool slot as a satellite; an
+   entry is live iff its slot still holds that id in that tier.  The
+   check is by id, never by physical identity, so it survives a
+   [Marshal] round trip of a live snapshot.  Entries go stale when a job
+   is seated, promoted, or completed; stale tops are lazily popped (a
+   job re-enters a heap with a key no larger than its old entries, so
+   the live entry always surfaces first). *)
 
 module Heap = Rr_util.Heap
-module Vec = Rr_util.Vec
 module Source = Simulator.Source
 
 (* [where] tags *)
@@ -33,25 +37,30 @@ let w_starved = 1
 
 let w_fresh = 2
 
-type hjob = {
-  hid : int;
-  arrival : float;
-  size : float;
-  starve : float;
-  mutable remaining : float;
-  mutable where : int;
-}
+type scalars = { mutable horizon : float }
 
 type state = {
   theta : float;
   machines : int;
   speed : float;
-  info : (int, hjob) Hashtbl.t;  (* every alive job *)
-  slots : hjob option array;  (* running set, <= machines entries *)
-  starved : Heap.Scalar.t;  (* waiting starved: key = arrival, val = id *)
-  fresh : Heap.Scalar.t;  (* waiting fresh: key = remaining at push, val = id *)
-  promo : Heap.Scalar.t;  (* pending promotions: key = starve, val = id *)
-  mutable horizon : float;
+  clk : Kernel.clock;
+  sc : scalars;
+  (* The job pool, one entry per slot; [ids.(s) = -1] marks a free
+     slot.  Arrays grow by doubling and free slots are reused. *)
+  mutable ids : int array;
+  mutable where : int array;
+  mutable arrival : float array;
+  mutable size : float array;
+  mutable starve : float array;
+  mutable remaining : float array;
+  mutable free : int array;  (* stack of free slots *)
+  mutable n_free : int;
+  mutable alive : int;
+  running : int array;  (* pool slot per machine; -1 when idle *)
+  (* Heaps: val = job id, aux1 = pool slot (aux2 unused). *)
+  starved : Heap.Scalar2.t;  (* waiting starved: key = arrival *)
+  fresh : Heap.Scalar2.t;  (* waiting fresh: key = remaining at push *)
+  promo : Heap.Scalar2.t;  (* pending promotions: key = starve *)
 }
 
 (* The three priority heaps may be caller-supplied (the closed core
@@ -69,286 +78,271 @@ let create_in ~starved ~fresh ~promo ~machines ~speed ~theta =
     theta;
     machines;
     speed;
-    info = Hashtbl.create 64;
-    slots = Array.make machines None;
+    clk = Kernel.clock ();
+    sc = { horizon = Float.infinity };
+    ids = [||];
+    where = [||];
+    arrival = [||];
+    size = [||];
+    starve = [||];
+    remaining = [||];
+    free = [||];
+    n_free = 0;
+    alive = 0;
+    running = Array.make machines (-1);
     starved;
     fresh;
     promo;
-    horizon = Float.infinity;
   }
 
 let create ~machines ~speed ~theta =
   create_in
-    ~starved:(Heap.Scalar.create ())
-    ~fresh:(Heap.Scalar.create ())
-    ~promo:(Heap.Scalar.create ())
+    ~starved:(Heap.Scalar2.create ())
+    ~fresh:(Heap.Scalar2.create ())
+    ~promo:(Heap.Scalar2.create ())
     ~machines ~speed ~theta
 
-let alive st = Hashtbl.length st.info
+let alive st = st.alive
+let clock st = st.clk
 
-let threshold size = 1e-9 *. (1. +. size)
+let[@inline] threshold size = 1e-9 *. (1. +. size)
 
-let admit st (j : Job.t) =
-  let starve = Policy_class.starve_time ~theta:st.theta ~arrival:j.arrival ~size:j.size in
-  let h =
-    { hid = j.id; arrival = j.arrival; size = j.size; starve; remaining = j.size; where = w_fresh }
+(* Double the pool; the new slots go on the free stack, lowest on top. *)
+let grow st =
+  let cap = Array.length st.ids in
+  let ncap = Int.max 16 (2 * cap) in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
   in
-  Hashtbl.replace st.info j.id h;
-  Heap.Scalar.add st.fresh ~key:h.remaining j.id;
-  Heap.Scalar.add st.promo ~key:starve j.id
+  st.ids <- extend st.ids (-1);
+  st.where <- extend st.where 0;
+  st.arrival <- extend st.arrival 0.;
+  st.size <- extend st.size 0.;
+  st.starve <- extend st.starve 0.;
+  st.remaining <- extend st.remaining 0.;
+  st.free <- extend st.free 0;
+  for s = ncap - 1 downto cap do
+    st.free.(st.n_free) <- s;
+    st.n_free <- st.n_free + 1
+  done
 
-(* Strict two-tier order at time [now]: starved (arrival, id) before
-   fresh (remaining, id) — the mirror policy's comparator. *)
-let beats ~now (a : hjob) (b : hjob) =
-  let sa = now >= a.starve and sb = now >= b.starve in
+let[@inline] push heap ~key st slot =
+  Heap.Scalar2.add heap ~key ~aux1:(Float.of_int slot) ~aux2:0. st.ids.(slot)
+
+let[@inline] top_slot heap = int_of_float (Heap.Scalar2.min_aux1_exn heap)
+
+let[@inline] admit_job st id arrival size =
+  if st.n_free = 0 then grow st;
+  st.n_free <- st.n_free - 1;
+  let s = st.free.(st.n_free) in
+  st.ids.(s) <- id;
+  st.where.(s) <- w_fresh;
+  st.arrival.(s) <- arrival;
+  st.size.(s) <- size;
+  st.starve.(s) <- Policy_class.starve_time ~theta:st.theta ~arrival ~size;
+  st.remaining.(s) <- size;
+  st.alive <- st.alive + 1;
+  push st.fresh ~key:size st s;
+  push st.promo ~key:st.starve.(s) st s
+
+let admit st ~id ~arrival ~size = admit_job st id arrival size
+
+let admit_head st src =
+  admit_job st (Source.head_id src) (Source.head_arrival src) (Source.head_size src)
+
+(* Strict two-tier order at [clk.now]: starved (arrival, id) before
+   fresh (remaining, id) — the mirror policy's comparator — over pool
+   slots [a] and [b]. *)
+let beats st a b =
+  let now = st.clk.now in
+  let sa = now >= st.starve.(a) and sb = now >= st.starve.(b) in
   match (sa, sb) with
   | true, false -> true
   | false, true -> false
-  | true, true -> a.arrival < b.arrival || (a.arrival = b.arrival && a.hid < b.hid)
-  | false, false -> a.remaining < b.remaining || (a.remaining = b.remaining && a.hid < b.hid)
+  | true, true ->
+      st.arrival.(a) < st.arrival.(b)
+      || (st.arrival.(a) = st.arrival.(b) && st.ids.(a) < st.ids.(b))
+  | false, false ->
+      st.remaining.(a) < st.remaining.(b)
+      || (st.remaining.(a) = st.remaining.(b) && st.ids.(a) < st.ids.(b))
+
+(* Is the heap's top entry the live one for its job in tier [which]? *)
+let[@inline] top_live st heap which =
+  let s = top_slot heap in
+  st.ids.(s) = Heap.Scalar2.min_val_exn heap && st.where.(s) = which
 
 let drain_stale st heap which =
-  let continue = ref true in
-  while !continue && Heap.Scalar.length heap > 0 do
-    match Hashtbl.find_opt st.info (Heap.Scalar.min_val_exn heap) with
-    | Some h when h.where = which -> continue := false
-    | _ -> ignore (Heap.Scalar.pop_exn heap)
+  while Heap.Scalar2.length heap > 0 && not (top_live st heap which) do
+    ignore (Heap.Scalar2.pop_exn heap : int)
   done
 
-(* Best waiting job, starved tier first; [None] when all wait heaps are
-   (effectively) empty. *)
+(* Pool slot of the best waiting job, starved tier first; -1 when all
+   wait heaps are (effectively) empty. *)
 let best_waiting st =
   drain_stale st st.starved w_starved;
-  if Heap.Scalar.length st.starved > 0 then
-    Hashtbl.find_opt st.info (Heap.Scalar.min_val_exn st.starved)
+  if Heap.Scalar2.length st.starved > 0 then top_slot st.starved
   else begin
     drain_stale st st.fresh w_fresh;
-    if Heap.Scalar.length st.fresh > 0 then
-      Hashtbl.find_opt st.info (Heap.Scalar.min_val_exn st.fresh)
-    else None
+    if Heap.Scalar2.length st.fresh > 0 then top_slot st.fresh else -1
   end
 
-let seat st s (h : hjob) =
+let seat st m s =
   (* Pop the live heap entry (it is the top of its heap by
      construction: [best_waiting] drained the stale prefix). *)
-  (match h.where with
-  | w when w = w_starved -> ignore (Heap.Scalar.pop_exn st.starved)
-  | _ -> ignore (Heap.Scalar.pop_exn st.fresh));
-  h.where <- w_running;
-  st.slots.(s) <- Some h
+  if st.where.(s) = w_starved then ignore (Heap.Scalar2.pop_exn st.starved : int)
+  else ignore (Heap.Scalar2.pop_exn st.fresh : int);
+  st.where.(s) <- w_running;
+  st.running.(m) <- s
 
-let unseat st s ~now =
-  match st.slots.(s) with
-  | None -> ()
-  | Some h ->
-      if now >= h.starve then begin
-        h.where <- w_starved;
-        Heap.Scalar.add st.starved ~key:h.arrival h.hid
-      end
-      else begin
-        h.where <- w_fresh;
-        Heap.Scalar.add st.fresh ~key:h.remaining h.hid
-      end;
-      st.slots.(s) <- None
+let unseat st m =
+  let s = st.running.(m) in
+  if s >= 0 then begin
+    if st.clk.now >= st.starve.(s) then begin
+      st.where.(s) <- w_starved;
+      push st.starved ~key:st.arrival.(s) st s
+    end
+    else begin
+      st.where.(s) <- w_fresh;
+      push st.fresh ~key:st.remaining.(s) st s
+    end;
+    st.running.(m) <- -1
+  end
 
-(* Mirror of one [allocate] call: process due promotions, then restore
-   the running set to the top-m of the current order, then recompute the
-   horizon (minimum starvation instant over still-fresh jobs). *)
-let refresh st ~now =
-  while Heap.Scalar.length st.promo > 0 && Heap.Scalar.min_key_exn st.promo <= now do
-    let id = Heap.Scalar.pop_exn st.promo in
-    match Hashtbl.find_opt st.info id with
-    | Some h when h.where = w_fresh ->
-        (* A waiting job crossed its threshold: move it to the starved
-           tier (its old fresh-heap entry goes stale). *)
-        h.where <- w_starved;
-        Heap.Scalar.add st.starved ~key:h.arrival h.hid
-    | _ -> ()  (* running (rank only improves in place) or completed *)
+(* Mirror of one [allocate] call at [clk.now]: process due promotions,
+   then restore the running set to the top-m of the current order, then
+   recompute the horizon (minimum starvation instant over still-fresh
+   jobs). *)
+let refresh st =
+  let now = st.clk.now in
+  while Heap.Scalar2.length st.promo > 0 && Heap.Scalar2.min_key_exn st.promo <= now do
+    let s = top_slot st.promo in
+    let live = st.ids.(s) = Heap.Scalar2.min_val_exn st.promo in
+    ignore (Heap.Scalar2.pop_exn st.promo : int);
+    (* A waiting job crossed its threshold: move it to the starved tier
+       (its old fresh-heap entry goes stale).  Running jobs' rank only
+       improves in place; completed jobs' entries are stale. *)
+    if live && st.where.(s) = w_fresh then begin
+      st.where.(s) <- w_starved;
+      push st.starved ~key:st.arrival.(s) st s
+    end
   done;
-  (* Fill free slots best-first. *)
-  for s = 0 to st.machines - 1 do
-    if st.slots.(s) = None then
-      match best_waiting st with Some h -> seat st s h | None -> ()
+  (* Fill free machines best-first. *)
+  for m = 0 to st.machines - 1 do
+    if st.running.(m) < 0 then begin
+      let w = best_waiting st in
+      if w >= 0 then seat st m w
+    end
   done;
   (* Preempt while some waiting job outranks the weakest incumbent. *)
   let continue = ref true in
   while !continue do
-    match best_waiting st with
-    | None -> continue := false
-    | Some w -> (
-        let weakest = ref (-1) in
-        for s = 0 to st.machines - 1 do
-          match st.slots.(s) with
-          | Some h -> (
-              match !weakest with
-              | -1 -> weakest := s
-              | ws -> (
-                  match st.slots.(ws) with
-                  | Some hw -> if beats ~now hw h then weakest := s
-                  | None -> weakest := s))
-          | None -> ()
-        done;
-        match !weakest with
-        | -1 -> continue := false
-        | ws -> (
-            match st.slots.(ws) with
-            | Some hw when beats ~now w hw ->
-                unseat st ws ~now;
-                seat st ws w
-            | _ -> continue := false))
+    let w = best_waiting st in
+    if w < 0 then continue := false
+    else begin
+      let weakest = ref (-1) in
+      for m = 0 to st.machines - 1 do
+        let s = st.running.(m) in
+        if s >= 0 && (!weakest < 0 || beats st st.running.(!weakest) s) then weakest := m
+      done;
+      if !weakest >= 0 && beats st w st.running.(!weakest) then begin
+        unseat st !weakest;
+        seat st !weakest w
+      end
+      else continue := false
+    end
   done;
   (* Undrained promotion keys are strictly in the future and belong to
      still-fresh jobs — except entries of jobs that completed fresh,
      which the mirror policy no longer sees: lazily drop those. *)
   while
-    Heap.Scalar.length st.promo > 0
-    && not (Hashtbl.mem st.info (Heap.Scalar.min_val_exn st.promo))
+    Heap.Scalar2.length st.promo > 0
+    && st.ids.(top_slot st.promo) <> Heap.Scalar2.min_val_exn st.promo
   do
-    ignore (Heap.Scalar.pop_exn st.promo)
+    ignore (Heap.Scalar2.pop_exn st.promo : int)
   done;
-  st.horizon <-
-    (if Heap.Scalar.length st.promo > 0 then Heap.Scalar.min_key_exn st.promo
+  st.sc.horizon <-
+    (if Heap.Scalar2.length st.promo > 0 then Heap.Scalar2.min_key_exn st.promo
      else Float.infinity)
 
-let next_internal st ~now =
-  let t = ref st.horizon in
-  for s = 0 to st.machines - 1 do
-    match st.slots.(s) with
-    | Some h ->
-        let c = now +. (h.remaining /. st.speed) in
-        if c < !t then t := c
-    | None -> ()
-  done;
-  !t
-
-let advance st ~dt =
-  let adv = st.speed *. dt in
-  for s = 0 to st.machines - 1 do
-    match st.slots.(s) with
-    | Some h -> h.remaining <- h.remaining -. adv
-    | None -> ()
-  done
-
-let settle st ~now ~complete =
-  for s = 0 to st.machines - 1 do
-    match st.slots.(s) with
-    | Some h when h.remaining <= threshold h.size ->
-        complete h.hid h.arrival now;
-        Hashtbl.remove st.info h.hid;
-        st.slots.(s) <- None
-    | _ -> ()
-  done
-
-let iter_alive st f = Hashtbl.iter (fun _ h -> f h) st.info
-
-(* ------------------------------------------------------------------ *)
-(* Closed event loop                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let hybrid_core ~record_trace ~speed ~max_events ~machines ~theta ~(source : Source.t)
-    ~(complete : int -> float -> float -> unit) =
-  let scratch = Arena.borrow () in
-  Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
-  let st =
-    create_in
-      ~starved:(Arena.scalar_of scratch)
-      ~fresh:(Arena.scalar_of scratch)
-      ~promo:(Arena.scalar_of scratch)
-      ~machines ~speed ~theta
-  in
-  let next_arr = ref (Source.next_arrival source) in
-  let max_alive = ref 0 in
-  let admit_upto now =
-    while !next_arr <= now do
-      (match Source.next source with Some j -> admit st j | None -> ());
-      next_arr := Source.next_arrival source
-    done;
-    if alive st > !max_alive then max_alive := alive st
-  in
-  let completed = ref 0 in
-  let makespan = ref 0. in
-  let events = ref 0 in
-  let complete' id arrival t =
-    complete id arrival t;
-    incr completed;
-    makespan := t
-  in
-  let trace_arena : Trace.segment Vec.t = Arena.segments_of scratch in
-  let push_trace ~t0 ~t1 =
-    let entries = Array.make (alive st) { Trace.job = -1; arrival = 0.; rate = 0. } in
-    let next = ref 0 in
-    iter_alive st (fun h ->
-        let rate = if h.where = w_running then 1. else 0. in
-        entries.(!next) <- { Trace.job = h.hid; arrival = h.arrival; rate };
-        incr next);
-    Vec.push trace_arena { Trace.t0; t1; alive = entries }
-  in
-  let now = ref (match Source.peek source with Some j -> j.Job.arrival | None -> 0.) in
-  admit_upto !now;
-  while alive st > 0 || Source.has_more source do
-    incr events;
-    if !events > max_events then
-      raise (Simulator.Event_limit_exceeded { limit = max_events; now = !now });
-    if alive st = 0 then begin
-      now := !next_arr;
-      admit_upto !now
-    end
-    else begin
-      refresh st ~now:!now;
-      let t_next = ref (next_internal st ~now:!now) in
-      if !next_arr < !t_next then t_next := !next_arr;
-      if not (Float.is_finite !t_next) then
-        raise
-          (Simulator.Invalid_allocation
-             "alive jobs receive no service and no arrival or horizon is pending");
-      let dt = !t_next -. !now in
-      assert (dt > 0.);
-      if record_trace then push_trace ~t0:!now ~t1:!t_next;
-      advance st ~dt;
-      now := !t_next;
-      settle st ~now:!now ~complete:complete';
-      admit_upto !now
+let next_internal st =
+  let now = st.clk.now in
+  let t = ref st.sc.horizon in
+  for m = 0 to st.machines - 1 do
+    let s = st.running.(m) in
+    if s >= 0 then begin
+      let c = now +. (st.remaining.(s) /. st.speed) in
+      if c < !t then t := c
     end
   done;
-  ( {
-      Simulator.n = !completed;
-      events = !events;
-      machines;
-      speed;
-      makespan = !makespan;
-      max_alive = !max_alive;
-    },
-    Vec.to_list trace_arena )
+  st.clk.t_next <- !t
+
+let advance st =
+  let adv = st.speed *. (st.clk.t_next -. st.clk.now) in
+  for m = 0 to st.machines - 1 do
+    let s = st.running.(m) in
+    if s >= 0 then st.remaining.(s) <- st.remaining.(s) -. adv
+  done
+
+let settle st out =
+  for m = 0 to st.machines - 1 do
+    let s = st.running.(m) in
+    if s >= 0 && st.remaining.(s) <= threshold st.size.(s) then begin
+      Kernel.emit st.clk out st.ids.(s) st.arrival.(s);
+      st.ids.(s) <- -1;
+      st.free.(st.n_free) <- s;
+      st.n_free <- st.n_free + 1;
+      st.alive <- st.alive - 1;
+      st.running.(m) <- -1
+    end
+  done
+
+let trace_entries st =
+  let entries = Array.make st.alive { Trace.job = -1; arrival = 0.; rate = 0. } in
+  let next = ref 0 in
+  Array.iteri
+    (fun s id ->
+      if id >= 0 then begin
+        let rate = if st.where.(s) = w_running then 1. else 0. in
+        entries.(!next) <- { Trace.job = id; arrival = st.arrival.(s); rate };
+        incr next
+      end)
+    st.ids;
+  entries
+
+let ops =
+  {
+    Kernel.clock_of = clock;
+    alive;
+    admit_head;
+    refresh;
+    next_internal;
+    advance;
+    settle;
+    trace_entries;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Closed runs                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let in_arena ~machines ~speed ~theta scratch =
+  create_in
+    ~starved:(Arena.scalar2_of scratch)
+    ~fresh:(Arena.scalar2_of scratch)
+    ~promo:(Arena.scalar2_of scratch)
+    ~machines ~speed ~theta
 
 let no_sink : Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
 
 let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink = no_sink)
     ~machines ~theta jobs =
-  let n = Simulator.validate_jobs jobs in
-  let jobs_arr = Simulator.jobs_by_id jobs n in
-  let order = Simulator.release_order jobs n in
-  let completions = Array.make n Float.nan in
-  let complete id arrival now =
-    completions.(id) <- now;
-    sink ~id ~arrival ~flow:(now -. arrival)
-  in
-  let summary, trace =
-    hybrid_core ~record_trace ~speed ~max_events ~machines ~theta
-      ~source:(Source.of_array order) ~complete
-  in
-  {
-    Simulator.jobs = jobs_arr;
-    completions;
-    trace;
-    machines;
-    speed;
-    events = summary.Simulator.events;
-  }
+  Kernel.run ~record_trace ~speed ~max_events ~sink ~machines
+    (in_arena ~machines ~speed ~theta)
+    ops jobs
 
-let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~theta ~sink pull =
-  let complete id arrival now = sink ~id ~arrival ~flow:(now -. arrival) in
-  let summary, _trace =
-    hybrid_core ~record_trace:false ~speed ~max_events ~machines ~theta
-      ~source:(Source.of_fn pull) ~complete
-  in
-  summary
+let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~theta ~sink source =
+  Kernel.run_stream ~speed ~max_events ~sink ~machines
+    (in_arena ~machines ~speed ~theta)
+    ops source

@@ -10,8 +10,13 @@
     mirror policy's horizon does — the event sequences, and hence the
     floats, coincide exactly.  Each event costs O(m + log alive). *)
 
-(** {2 Incremental primitives} (driven by the {!Live} engine; the state
-    contains no closures, so snapshots can [Marshal] it) *)
+(** {2 Incremental primitives}
+
+    Driven by the {!Live} engine through {!ops} and the state's
+    {!Kernel.clock}.  The state contains no closures, so snapshots can
+    [Marshal] it.  Per-job state is a pool of flat arrays indexed by a
+    recycled slot; heap entries carry the job id and the slot, and
+    staleness is checked by id (see {!Kernel} for the hot-path rule). *)
 
 type state
 
@@ -21,20 +26,16 @@ val create : machines:int -> speed:float -> theta:float -> state
 
 val alive : state -> int
 
-val admit : state -> Job.t -> unit
+val admit : state -> id:int -> arrival:float -> size:float -> unit
 (** Admit a released job (in non-decreasing arrival order, distinct
     ids).  Every newcomer starts fresh: theta and size are positive, so
     its starvation instant is strictly after its arrival. *)
 
-val refresh : state -> now:float -> unit
-(** Mirror of one [allocate] call: apply due promotions, restore the
-    running set to the top-m of the two-tier order, recompute the
-    horizon.  Run exactly once per event, after {!settle} and
-    admissions. *)
-
-val next_internal : state -> now:float -> float
-val advance : state -> dt:float -> unit
-val settle : state -> now:float -> complete:(int -> float -> float -> unit) -> unit
+val ops : state Kernel.ops
+(** [refresh] is the mirror of one [allocate] call: apply due
+    promotions, restore the running set to the top-m of the two-tier
+    order, recompute the horizon.  Run exactly once per event, after
+    [settle] and admissions. *)
 
 (** {2 Closed runs} *)
 
@@ -55,5 +56,5 @@ val run_stream :
   machines:int ->
   theta:float ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  Simulator.Source.t ->
   Simulator.summary

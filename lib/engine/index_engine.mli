@@ -25,12 +25,17 @@
 
     Like the engines in {!Simulator}, each engine has a materialized
     entry point (job list in, {!Simulator.result} out, optional [?sink])
-    and a streaming one (pull function in, mandatory [~sink], O(alive)
-    live memory, {!Simulator.summary} out). *)
+    and a streaming one ({!Simulator.Source.t} in, mandatory [~sink],
+    O(alive) live memory, {!Simulator.summary} out).
+
+    Hot path: both event loops follow {!Kernel}'s rule — running slots
+    are flat per-field arrays, SETF group levels an all-float record,
+    loop state a {!Kernel.clock}, no closure or option built per event —
+    so a streamed run allocates ~12 words per job (bench B4). *)
 
 type kind = Srpt | Sjf | Fcfs | Hdf of { alpha : float }
 (** The static-while-waiting keys the kernel can rank by; one-to-one
-    with {!Policy_class.key} (see {!key_spec} / {!kind_of_key}).  [Hdf]
+    with {!Policy_class.key} (see {!kind_of_key}).  [Hdf]
     is highest density first with weight size^alpha: key
     [-(size^alpha / size)], so the densest job is the smallest key. *)
 
@@ -38,16 +43,15 @@ val kind_name : kind -> string
 (** ["srpt"], ["sjf"], ["fcfs"], ["hdf"] — the {!Rr_policies} registry
     base names. *)
 
-val key_spec : kind -> Policy_class.key
 val kind_of_key : Policy_class.key -> kind
-(** The bijection with the classification layer's {!Policy_class.key}:
+(** The kind serving the classification layer's {!Policy_class.key}:
     [Run] classifies a policy by its declared class and maps
     [Static_key k] to [kind_of_key k]. *)
 
 val job_key : kind -> arrival:float -> size:float -> remaining:float -> float
-(** The priority key of a job, evaluated through
-    {!Policy_class.static_key} — the one expression the mirror policies
-    also use, so both paths rank by bit-identical floats. *)
+(** The priority key of a job: the expression {!Policy_class.static_key}
+    evaluates for the kind's key (the mirror policies' ranking), so both
+    paths rank by bit-identical floats. *)
 
 val key_of_view : kind -> Policy.view -> float
 (** The priority key this kind schedules by — exactly the key the
@@ -83,11 +87,11 @@ val run_stream :
   machines:int ->
   kind:kind ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  Simulator.Source.t ->
   Simulator.summary
 (** Streaming counterpart of {!run}: the slot array plus the waiting heap
     (with each job's arrival and resume state as satellites) is the
-    entire live state.  [pull] as in {!Simulator.run_stream}. *)
+    entire live state.  [source] as in {!Simulator.run_stream}. *)
 
 val run_setf :
   ?record_trace:bool ->
@@ -105,7 +109,7 @@ val run_setf_stream :
   ?max_events:int ->
   machines:int ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  Simulator.Source.t ->
   Simulator.summary
 (** Streaming counterpart of {!run_setf}: live memory is the group list
     and member heaps, O(alive jobs). *)

@@ -177,7 +177,9 @@ type state = {
   p99 : Rr_util.P2.t;
 }
 
-type t = { st : state; mutable sink : Simulator.sink }
+(* [out] routes the classified kernels' completions into [complete]; it
+   holds a closure, so it lives beside the snapshotted [state]. *)
+type t = { st : state; mutable sink : Simulator.sink; out : Kernel.out }
 
 type stats = {
   submitted : int;
@@ -198,6 +200,34 @@ type stats = {
 }
 
 let no_sink : Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
+
+let complete (t : t) ~id ~arrival =
+  let st = t.st in
+  let flow = st.now -. arrival in
+  st.completed <- st.completed + 1;
+  st.makespan <- st.now;
+  Rr_util.Kahan.add st.ps (Rr_util.Floatx.powi flow st.k);
+  Rr_util.Welford.add st.moments flow;
+  if flow > st.max_flow then st.max_flow <- flow;
+  Rr_util.P2.add st.p50 flow;
+  Rr_util.P2.add st.p90 flow;
+  Rr_util.P2.add st.p99 flow;
+  t.sink ~id ~arrival ~flow
+
+let wrap st sink =
+  let rec t =
+    {
+      st;
+      sink;
+      out =
+        {
+          Kernel.completions = [||];
+          sink = (fun ~id ~arrival ~flow:_ -> complete t ~id ~arrival);
+          completed = 0;
+        };
+    }
+  in
+  t
 
 (* A live engine is long-lived by design — it owns its heaps outright
    rather than borrowing from the per-domain {!Arena}, whose components
@@ -266,7 +296,7 @@ let create ?(machines = 1) ?(speed = 1.) ?(k = 2) ?(max_events = max_int) ?(sink
       p99 = Rr_util.P2.create ~p:0.99 ();
     }
   in
-  { st; sink }
+  wrap st sink
 
 let set_sink t sink = t.sink <- sink
 
@@ -357,19 +387,6 @@ let note_alive (st : state) =
   let a = alive_core st in
   if a > st.max_alive then st.max_alive <- a
 
-let complete (t : t) ~id ~arrival =
-  let st = t.st in
-  let flow = st.now -. arrival in
-  st.completed <- st.completed + 1;
-  st.makespan <- st.now;
-  Rr_util.Kahan.add st.ps (Rr_util.Floatx.powi flow st.k);
-  Rr_util.Welford.add st.moments flow;
-  if flow > st.max_flow then st.max_flow <- flow;
-  Rr_util.P2.add st.p50 flow;
-  Rr_util.P2.add st.p90 flow;
-  Rr_util.P2.add st.p99 flow;
-  t.sink ~id ~arrival ~flow
-
 let next_pending (st : state) =
   match Queue.peek_opt st.pending with Some (_, a, _) -> a | None -> Float.infinity
 
@@ -387,11 +404,7 @@ let eq_admit (st : state) (e : eq_state) ~id ~arrival ~size =
   note_alive st
 
 let slot_key kind (s : slot) =
-  match (kind : Index_engine.kind) with
-  | Srpt -> s.s_remaining
-  | Sjf -> s.s_size
-  | Fcfs -> s.s_arrival
-  | Hdf { alpha } -> -.((s.s_size ** alpha) /. s.s_size)
+  Index_engine.job_key kind ~arrival:s.s_arrival ~size:s.s_size ~remaining:s.s_remaining
 
 let idx_push_waiting (i : idx_state) ~id ~arrival ~size ~remaining =
   Heap.Scalar3.add i.waiting
@@ -476,13 +489,13 @@ let admit (st : state) ~id ~arrival ~size =
   | Idx i -> idx_admit st i ~id ~arrival ~size
   | Setf s -> setf_admit st s ~id ~arrival ~size
   | Cls c ->
-      Class_engine.admit c (Job.make ~id ~arrival ~size);
+      Class_engine.admit c ~id ~arrival ~size;
       note_alive st
   | Hyb h ->
-      Hybrid_engine.admit h (Job.make ~id ~arrival ~size);
+      Hybrid_engine.admit h ~id ~arrival ~size;
       note_alive st
   | Bud b ->
-      Budget_engine.admit b (Job.make ~id ~arrival ~size);
+      Budget_engine.admit b ~id ~arrival ~size;
       note_alive st
 
 let admit_upto (st : state) now =
@@ -549,6 +562,42 @@ let setf_internal_event (st : state) (s : setf_state) =
 (* ------------------------------------------------------------------ *)
 (* The incremental event loop                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* One step of a classified kernel, through the same primitives the
+   closed {!Kernel} loop drives: refresh the cached decision only when
+   the state changed since the last event (admission, settle, idle jump)
+   — a pure horizon split keeps the rates, exactly like the general
+   loop's allocate-once-per-event discipline.  The kernel's clock
+   mirrors [st.now] around each call. *)
+let kernel_step (type s) (t : t) (ops : s Kernel.ops) (c : s) ~target =
+  let st = t.st in
+  let clk = ops.clock_of c in
+  clk.now <- st.now;
+  if st.rates_dirty then begin
+    ops.refresh c;
+    st.rates_dirty <- false
+  end;
+  ops.next_internal c;
+  let next_arrival = next_pending st in
+  if next_arrival < clk.t_next then clk.t_next <- next_arrival;
+  if clk.t_next > target then begin
+    if target -. st.now > 0. then begin
+      clk.t_next <- target;
+      ops.advance c
+    end;
+    st.now <- target;
+    false
+  end
+  else begin
+    bump_events st;
+    if clk.t_next -. st.now > 0. then ops.advance c;
+    st.now <- clk.t_next;
+    clk.now <- st.now;
+    ops.settle c t.out;
+    admit_upto st st.now;
+    st.rates_dirty <- true;
+    true
+  end
 
 (* Advance the state across one inter-event interval or up to [target],
    whichever comes first.  Returns [true] when a full event was processed
@@ -726,63 +775,9 @@ let step (t : t) ~target =
           admit_upto st st.now;
           true
         end
-    | Cls _ | Hyb _ | Bud _ ->
-        (* One shared skeleton: refresh the cached decision only when the
-           state changed since the last event (admission, settle, idle
-           jump) — a pure horizon split keeps the rates, exactly like the
-           general loop's allocate-once-per-event discipline. *)
-        let refresh () =
-          match st.core with
-          | Cls c -> Class_engine.refresh c ~now:st.now
-          | Hyb h -> Hybrid_engine.refresh h ~now:st.now
-          | Bud b -> Budget_engine.refresh b ~now:st.now
-          | _ -> assert false
-        in
-        let next_internal () =
-          match st.core with
-          | Cls c -> Class_engine.next_internal c ~now:st.now
-          | Hyb h -> Hybrid_engine.next_internal h ~now:st.now
-          | Bud b -> Budget_engine.next_internal b ~now:st.now
-          | _ -> assert false
-        in
-        let advance_by dt =
-          match st.core with
-          | Cls c -> Class_engine.advance c ~dt
-          | Hyb h -> Hybrid_engine.advance h ~dt
-          | Bud b -> Budget_engine.advance b ~dt
-          | _ -> assert false
-        in
-        let settle () =
-          let complete' id arrival _now = complete t ~id ~arrival in
-          match st.core with
-          | Cls c -> Class_engine.settle c ~now:st.now ~complete:complete'
-          | Hyb h -> Hybrid_engine.settle h ~now:st.now ~complete:complete'
-          | Bud b -> Budget_engine.settle b ~now:st.now ~complete:complete'
-          | _ -> assert false
-        in
-        if st.rates_dirty then begin
-          refresh ();
-          st.rates_dirty <- false
-        end;
-        let t_internal = next_internal () in
-        let next_arrival = next_pending st in
-        let t_next = if next_arrival < t_internal then next_arrival else t_internal in
-        if t_next > target then begin
-          let dt = target -. st.now in
-          if dt > 0. then advance_by dt;
-          st.now <- target;
-          false
-        end
-        else begin
-          bump_events st;
-          let dt = t_next -. st.now in
-          if dt > 0. then advance_by dt;
-          st.now <- t_next;
-          settle ();
-          admit_upto st st.now;
-          st.rates_dirty <- true;
-          true
-        end
+    | Cls c -> kernel_step t Class_engine.ops c ~target
+    | Hyb h -> kernel_step t Hybrid_engine.ops h ~target
+    | Bud b -> kernel_step t Budget_engine.ops b ~target
 
 let advance_until t ~target =
   while step t ~target do
@@ -839,7 +834,7 @@ let k t = t.st.k
    prev/next cycles.  A short magic header versions the format so a junk
    file fails loudly instead of segfaulting the unmarshaller. *)
 
-let snapshot_magic = "rr-live-snapshot-v2\n"
+let snapshot_magic = "rr-live-snapshot-v3\n"
 
 let to_bytes t =
   Bytes.cat (Bytes.of_string snapshot_magic) (Marshal.to_bytes t.st [])
@@ -851,7 +846,7 @@ let of_bytes ?(sink = no_sink) b =
     || not (String.equal (Bytes.sub_string b 0 m) snapshot_magic)
   then failwith "Live.of_bytes: not a live-engine snapshot";
   let st : state = Marshal.from_bytes b m in
-  { st; sink }
+  wrap st sink
 
 let save t path =
   Out_channel.with_open_bin path (fun oc ->

@@ -96,16 +96,16 @@ let capped_rates_into ~machines ~n ~weights ~suffix ~rates =
     for i = n - 1 downto 0 do
       suffix.(i) <- suffix.(i + 1) +. weights.(i)
     done;
-    let rec find_cap c =
-      if c >= machines then machines
-      else
-        let theta = (m -. Float.of_int c) /. suffix.(c) in
-        if weights.(c) *. theta > 1. then find_cap (c + 1) else c
-    in
-    let c = find_cap 0 in
+    (* A loop, not a local recursive function: the closure it would
+       capture [m], [suffix] and [weights] in is allocated per call. *)
+    let c = ref 0 in
+    while !c < machines && weights.(!c) *. ((m -. Float.of_int !c) /. suffix.(!c)) > 1. do
+      incr c
+    done;
+    let c = !c in
     let theta = if c = machines then 0. else (m -. Float.of_int c) /. suffix.(c) in
     for i = 0 to n - 1 do
-      rates.(i) <- (if i < c then 1. else Float.min 1. (weights.(i) *. theta))
+      rates.(i) <- (if i < c then 1. else Rr_util.Floatx.fmin 1. (weights.(i) *. theta))
     done
   end
 
@@ -151,19 +151,27 @@ let proportional_rates ~machines ~ids weights =
    interval splits (the live engine advances to caller horizons) could
    then disagree on the level and diverge macroscopically.  Within the
    band every engine agrees the job has promoted. *)
+(* Both ladder functions loop over unboxed locals: a recursive helper
+   would take its float accumulators as arguments and box them at every
+   step.  {!Class_engine}'s threshold table repeats the same operations
+   in the same order, so both compute the same floats. *)
 let ladder_level ~base_quantum ~factor ~levels attained =
-  let rec go level threshold quantum =
-    if level >= levels - 1 || attained < threshold -. (1e-9 *. (1. +. threshold)) then level
-    else go (level + 1) (threshold +. (quantum *. factor)) (quantum *. factor)
-  in
-  go 0 base_quantum base_quantum
+  let level = ref 0 and threshold = ref base_quantum and quantum = ref base_quantum in
+  while !level < levels - 1 && not (attained < !threshold -. (1e-9 *. (1. +. !threshold))) do
+    incr level;
+    quantum := !quantum *. factor;
+    threshold := !threshold +. !quantum
+  done;
+  !level
 
 let ladder_threshold ~base_quantum ~factor level =
   (* Sum of the first (level+1) quanta. *)
-  let rec go l acc quantum =
-    if l > level then acc else go (l + 1) (acc +. quantum) (quantum *. factor)
-  in
-  go 0 0. base_quantum
+  let acc = ref 0. and quantum = ref base_quantum in
+  for _ = 0 to level do
+    acc := !acc +. !quantum;
+    quantum := !quantum *. factor
+  done;
+  !acc
 
 let validate = function
   | Equal_share | Attained_cascade -> Ok ()

@@ -28,8 +28,10 @@ type sink = id:int -> arrival:float -> flow:float -> unit
    plus a flat all-float cursor record, not as a [Job.t option].  Raw
    producers ({!of_raw}) write the cursor fields directly and never
    construct a [Job.t] at all, which is what lets the equal-share
-   streaming path run at ~0 words per job; the boxed [peek]/[next] view
-   is memoized on top for the engines that want whole jobs. *)
+   streaming path run at ~0 words per job; the kernels read the raw head
+   ([head_id]/[head_arrival]/[head_size]), and the boxed [peek]/[next]
+   view is memoized on top for the general loop, which wants whole
+   jobs. *)
 module Source = struct
   type cursor = { mutable arrival : float; mutable size : float }
   (* All-float record: flat representation, so field writes never box. *)
@@ -57,16 +59,6 @@ module Source = struct
     }
 
   let of_raw fill = make (fun t -> fill t.cur)
-
-  let of_fn pull =
-    make (fun t ->
-        match pull () with
-        | None -> -1
-        | Some j ->
-            t.cur.arrival <- j.Job.arrival;
-            t.cur.size <- j.Job.size;
-            t.head_job <- Some j;
-            j.Job.id)
 
   let of_array jobs =
     let i = ref 0 in
@@ -125,9 +117,9 @@ module Source = struct
     t.head_id <- -1;
     t.head_job <- None
 
-  (* Boxed view: memoized, so producers that hand over whole jobs
-     ([of_fn]/[of_array]) never re-box and raw producers box at most once
-     per job — and only if somebody peeks. *)
+  (* Boxed view, for the general loop: memoized, so [of_array] (which
+     hands over whole jobs) never re-boxes and raw producers box at most
+     once per job — and only if somebody peeks. *)
   let peek t =
     fill t;
     if t.head_id < 0 then None
@@ -398,30 +390,30 @@ let general_core ~record_trace ~speed ~max_events ~machines ~(policy : Policy.t)
 
 let no_sink : sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
 
-let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink = no_sink)
-    ~machines ~(policy : Policy.t) jobs =
+(* The materialized shape every closed engine shares: validate, order by
+   release, run the core over the sorted array, and wrap the completion
+   array it filled into a result. *)
+let run_closed ~machines ~speed jobs core =
   let n = validate_jobs jobs in
   let jobs_arr = jobs_by_id jobs n in
   let order = release_order jobs n in
   let completions = Array.make n Float.nan in
-  let complete (j : Job.t) now =
-    completions.(j.id) <- now;
-    sink ~id:j.id ~arrival:j.arrival ~flow:(now -. j.arrival)
-  in
-  let summary, trace =
-    general_core ~record_trace ~speed ~max_events ~machines ~policy
-      ~source:(Source.of_array order) ~complete
-  in
+  let (summary : summary), trace = core ~source:(Source.of_array order) ~completions in
   { jobs = jobs_arr; completions; trace; machines; speed; events = summary.events }
 
+let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink = no_sink)
+    ~machines ~(policy : Policy.t) jobs =
+  run_closed ~machines ~speed jobs (fun ~source ~completions ->
+      let complete (j : Job.t) now =
+        completions.(j.id) <- now;
+        sink ~id:j.id ~arrival:j.arrival ~flow:(now -. j.arrival)
+      in
+      general_core ~record_trace ~speed ~max_events ~machines ~policy ~source ~complete)
+
 let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~(policy : Policy.t) ~sink
-    pull =
+    source =
   let complete (j : Job.t) now = sink ~id:j.id ~arrival:j.arrival ~flow:(now -. j.arrival) in
-  let summary, _trace =
-    general_core ~record_trace:false ~speed ~max_events ~machines ~policy
-      ~source:(Source.of_fn pull) ~complete
-  in
-  summary
+  fst (general_core ~record_trace:false ~speed ~max_events ~machines ~policy ~source ~complete)
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form equal-share (RR) engine                                 *)
@@ -589,29 +581,13 @@ let equal_share_core ~record_trace ~speed ~max_events ~machines ~(source : Sourc
 
 let run_equal_share ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000)
     ?(sink = no_sink) ~machines jobs =
-  let n = validate_jobs jobs in
-  let jobs_arr = jobs_by_id jobs n in
-  let order = release_order jobs n in
-  let completions = Array.make n Float.nan in
-  let summary, trace =
-    equal_share_core ~record_trace ~speed ~max_events ~machines
-      ~source:(Source.of_array order) ~completions ~sink
-  in
-  { jobs = jobs_arr; completions; trace; machines; speed; events = summary.events }
+  run_closed ~machines ~speed jobs (fun ~source ~completions ->
+      equal_share_core ~record_trace ~speed ~max_events ~machines ~source ~completions ~sink)
 
-let run_equal_share_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink pull =
-  let summary, _trace =
-    equal_share_core ~record_trace:false ~speed ~max_events ~machines
-      ~source:(Source.of_fn pull) ~completions:[||] ~sink
-  in
-  summary
-
-let run_equal_share_stream_raw ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink fill =
-  let summary, _trace =
-    equal_share_core ~record_trace:false ~speed ~max_events ~machines
-      ~source:(Source.of_raw fill) ~completions:[||] ~sink
-  in
-  summary
+let run_equal_share_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink source =
+  fst
+    (equal_share_core ~record_trace:false ~speed ~max_events ~machines ~source
+       ~completions:[||] ~sink)
 
 let flows r = Array.mapi (fun i c -> c -. r.jobs.(i).Job.arrival) r.completions
 

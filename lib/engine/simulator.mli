@@ -29,7 +29,7 @@
       job list, return the full {!result} with per-job completion times,
       and additionally feed an optional [?sink];
     - the {e streaming} entry points ({!run_stream},
-      {!run_equal_share_stream}) take a pull function, feed every
+      {!run_equal_share_stream}) take a {!Source.t}, feed every
       completion to a mandatory [~sink], and return only a {!summary} —
       live memory is O(alive jobs), independent of how many jobs the
       source produces, so million- to ten-million-job instances run in a
@@ -61,7 +61,7 @@ type sink = id:int -> arrival:float -> flow:float -> unit
 (** Peekable arrival streams — the one interface both engines pull jobs
     through.  {!Source.of_array} adapts the sorted-array path of the
     materialized entry points; lazy generators ([Rr_workload]
-    [Instance.Stream]) provide the same pull function without ever
+    [Instance.Stream.start_raw]) feed {!Source.of_raw} without ever
     materializing a job list.  Jobs must be produced in non-decreasing
     arrival order (checked; [Invalid_argument] otherwise) with distinct
     ids (trusted). *)
@@ -73,17 +73,15 @@ module Source : sig
       so its representation is flat and writing the fields never
       allocates. *)
 
-  val of_fn : (unit -> Job.t option) -> t
-  (** Wrap a pull function; [None] means the stream is exhausted (and is
-      then never pulled again). *)
-
   val of_raw : (cursor -> int) -> t
   (** Wrap an unboxed pull function: [fill cur] writes the next job's
       arrival and size into [cur] and returns its id, or returns [-1]
       (leaving [cur] alone) when the stream is exhausted — after which it
       is never called again.  The producer never builds a [Job.t], so a
       streaming run over a raw source allocates nothing per job.  The
-      same validity and monotonicity checks as {!of_fn} apply. *)
+      same validity and monotonicity checks as {!of_array} apply:
+      non-finite or negative arrivals, non-positive sizes and decreasing
+      arrivals raise [Invalid_argument]. *)
 
   val of_array : Job.t array -> t
   (** Stream an array in index order (the caller sorts by release). *)
@@ -98,6 +96,20 @@ module Source : sig
   (** Arrival time of {!peek}'s job; [infinity] when exhausted. *)
 
   val has_more : t -> bool
+
+  (** {3 Raw head accessors}
+
+      The unboxed view of the buffered job, for kernels that admit
+      without building a [Job.t]: after {!has_more} returned [true],
+      read the head through these (plain field reads once inlined),
+      then {!advance} past it. *)
+
+  val head_id : t -> int
+  val head_arrival : t -> float
+  val head_size : t -> float
+
+  val advance : t -> unit
+  (** Consume the buffered job (after {!has_more} returned [true]). *)
 end
 
 type result = {
@@ -149,13 +161,14 @@ val run_stream :
   machines:int ->
   policy:Policy.t ->
   sink:sink ->
-  (unit -> Job.t option) ->
+  Source.t ->
   summary
-(** [run_stream ~machines ~policy ~sink pull] simulates [policy] on the
-    jobs produced by [pull], feeding each completion to [sink]; live
-    memory is O(alive), independent of the total job count.  [pull] must
-    produce jobs in non-decreasing arrival order with distinct ids.
-    Parameters and errors as in {!run} (no trace in streaming mode). *)
+(** [run_stream ~machines ~policy ~sink source] simulates [policy] on the
+    jobs [source] produces, feeding each completion to [sink]; live
+    memory is O(alive), independent of the total job count.  Build the
+    source with {!Source.of_raw}: the producer hands over each job
+    unboxed, with no [Job.t] per job.  Parameters and errors as in {!run}
+    (no trace in streaming mode). *)
 
 val run_equal_share :
   ?record_trace:bool ->
@@ -177,26 +190,14 @@ val run_equal_share_stream :
   ?max_events:int ->
   machines:int ->
   sink:sink ->
-  (unit -> Job.t option) ->
+  Source.t ->
   summary
 (** Streaming counterpart of {!run_equal_share}: the deadline heap (with
     each job's arrival and size as satellites) is the {e entire} live
-    state, so a 10M-job instance runs in O(max alive) heap.  [pull] as in
-    {!run_stream}. *)
-
-val run_equal_share_stream_raw :
-  ?speed:float ->
-  ?max_events:int ->
-  machines:int ->
-  sink:sink ->
-  (Source.cursor -> int) ->
-  summary
-(** Like {!run_equal_share_stream} but over an unboxed {!Source.of_raw}
-    producer: the source hands over (id, arrival, size) through a flat
-    cursor instead of a [Job.t option], which removes the last per-job
-    allocation from the equal-share streaming path.  Combined with the
-    per-domain scratch {!Arena} this entry point runs at ~0 words
-    allocated per job in steady state (the B4 benchmark gate). *)
+    state, so a 10M-job instance runs in O(max alive) heap.  Over a
+    {!Source.of_raw} producer, combined with the per-domain scratch
+    {!Arena}, it allocates ~0 words per job in steady state (the B4
+    benchmark gate). *)
 
 val flows : result -> float array
 (** Flow times [F_j = C_j - r_j], indexed by job id. *)
@@ -229,3 +230,14 @@ val release_order : Job.t list -> int -> Job.t array
     already ordered (instances hand jobs over sorted).  The result is
     memoized for the most recent list (by physical equality) and may be
     shared between calls — treat it as read-only. *)
+
+val run_closed :
+  machines:int ->
+  speed:float ->
+  Job.t list ->
+  (source:Source.t -> completions:float array -> summary * Trace.t) ->
+  result
+(** [run_closed ~machines ~speed jobs core] is the materialized entry
+    point every closed engine shares: validate [jobs] (as {!run}), run
+    [core] over a release-ordered source with a NaN-filled completion
+    array (indexed by id) for it to fill, and wrap the result. *)

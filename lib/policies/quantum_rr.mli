@@ -9,8 +9,11 @@
     converges to the fluid one; the ablation experiment T9 measures the
     convergence rate of the resulting flow-time norms.
 
-    The policy is stateful (the closure owns the ready queue), so create a
-    fresh instance per simulation run. *)
+    The policy is stateful (the closure owns the ready queue).  A value
+    reused for another simulation notices the switch — the clock going
+    backwards, or an alive job id it tracks reappearing with another
+    arrival — and starts from a clean queue, so reuse gives the same
+    schedule as a fresh value. *)
 
 val policy : ?quantum:float -> unit -> Rr_engine.Policy.t
 (** [policy ~quantum ()] with the time slice in simulated time units

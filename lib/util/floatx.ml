@@ -22,6 +22,14 @@ let[@inline] powi x k =
   else if k = 3 then x *. (x *. x)
   else powi_big x k
 
+(* [Float.min]/[Float.max] decide a strict inequality with one
+   comparison but go through a C call ([sign_bit]) whenever the answer is
+   the second operand.  These return the same float for every input:
+   strict inequalities short-circuit, and ties and NaNs fall through to
+   the stdlib for its signed-zero and NaN rules. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
+
 let clamp ~lo ~hi x = Float.min hi (Float.max lo x)
 
 let is_finite_nonneg x = Float.is_finite x && x >= 0.

@@ -9,6 +9,14 @@ val powi : float -> int -> float
     repeated squaring; exact for [k = 0] ([= 1.]) and faster and better
     conditioned than [( ** )] for the small [k] used in lk-norms. *)
 
+val fmin : float -> float -> float
+(** [Float.min], bit for bit on every input (NaN and signed zero
+    included), without the C call [Float.min] makes whenever its second
+    operand is the smaller: for the hot loops of the engines. *)
+
+val fmax : float -> float -> float
+(** [Float.max], likewise. *)
+
 val clamp : lo:float -> hi:float -> float -> float
 (** Clamp a value into [\[lo, hi\]]. *)
 

@@ -111,6 +111,12 @@ module Scalar2 : sig
       unspecified (heap-array) order.  The priority-index engines use it
       to enumerate waiting jobs for trace segments and to merge SETF
       groups small-into-large; do not add or pop during iteration. *)
+
+  val transfer : src:t -> t -> unit
+  (** [transfer ~src dst] moves every element of [src] into [dst] (with
+      both satellites) and leaves [src] empty — the allocation-free
+      merge of two heaps, where an {!iter} callback would be a closure
+      per call. *)
 end
 
 (** {!Scalar2} with a third unboxed float satellite per element.

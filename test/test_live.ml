@@ -21,10 +21,11 @@ let flow_rtol = 1e-9
 
 let rel_diff a b = Float.abs (a -. b) /. Float.max 1e-12 (Float.max (Float.abs a) (Float.abs b))
 
-(* Every live spec with the shared policy value it mirrors.  The last
-   four exercise the [Classified] cores added with the class layer; all
-   nine policies here have stateless allocate closures, so sharing one
-   value across runs is safe (quantum-rr, which is not, stays out). *)
+(* Every live spec with the shared policy value it mirrors: all 13
+   registry policies.  The last eight exercise the [Classified] cores
+   added with the class layer.  One value is shared across runs (qcheck
+   reuses it case after case); quantum-rr's allocate keeps state, and
+   resets it when a reused value starts another simulation. *)
 let live_specs =
   [
     (Live.Equal_share, Rr_policies.Round_robin.policy);
@@ -38,7 +39,16 @@ let live_specs =
         let policy = Rr_policies.Registry.make spec in
         (Live.Classified (Option.get policy.Rr_engine.Policy.klass), policy))
       Rr_policies.Registry.
-        [ Laps 0.5; Mlfq 0.5; Wrr_age 2; Hybrid 3. ]
+        [
+          Laps 0.5;
+          Mlfq 0.5;
+          Wrr_age 2;
+          Hybrid 3.;
+          Wrr_static 1.;
+          Quantum_rr 1.;
+          Hdf 2.;
+          Srpt_mig 1;
+        ]
 
 let poisson_instance ~seed ~machines ~n =
   let rng = Rr_util.Prng.create ~seed in

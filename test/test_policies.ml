@@ -296,6 +296,24 @@ let test_quantum_policy_reuse_resets () =
   Alcotest.(check (array (float 1e-9)))
     "identical across reuse" first.completions second.completions
 
+(* A second run that starts after the first one's last decision: the
+   clock never goes backwards, yet the ids 0 and 1 the value still
+   tracks belong to the first run. *)
+let test_quantum_policy_reuse_later_run () =
+  let policy = Rr_policies.Quantum_rr.policy ~quantum:1. () in
+  let (_ : Simulator.result) =
+    Simulator.run ~machines:1 ~policy
+      [ job ~id:0 ~arrival:0. ~size:1.; job ~id:1 ~arrival:0.5 ~size:2. ]
+  in
+  let later = [ job ~id:0 ~arrival:10. ~size:1.; job ~id:1 ~arrival:11. ~size:1. ] in
+  let reused = Simulator.run ~machines:1 ~policy later in
+  let fresh =
+    Simulator.run ~machines:1 ~policy:(Rr_policies.Quantum_rr.policy ~quantum:1. ()) later
+  in
+  Alcotest.(check (array (float 1e-12))) "flows 1, 1" [| 1.; 1. |] (Simulator.flows fresh);
+  Alcotest.(check (array (float 0.)))
+    "reused value matches a fresh one" (Simulator.flows fresh) (Simulator.flows reused)
+
 (* ------------------------------------------------------------------ *)
 (* MLFQ                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -565,6 +583,7 @@ let () =
           Alcotest.test_case "multi-machine" `Quick test_quantum_multimachine;
           Alcotest.test_case "converges to fluid" `Quick test_quantum_converges_to_fluid_rr;
           Alcotest.test_case "reuse resets" `Quick test_quantum_policy_reuse_resets;
+          Alcotest.test_case "reuse, later run" `Quick test_quantum_policy_reuse_later_run;
         ] );
       ( "mlfq",
         [

@@ -136,6 +136,23 @@ let test_min_max_arr () =
   Alcotest.check_raises "empty min" (Invalid_argument "Floatx.min_arr: empty array") (fun () ->
       ignore (Floatx.min_arr [||]))
 
+(* fmin/fmax must be Float.min/max bit for bit, signed zeros and NaN
+   included: the engines swap one for the other on the hot path. *)
+let test_fmin_fmax_match_stdlib () =
+  let specials = [ 0.; -0.; 1.; -1.; 0.5; Float.infinity; Float.neg_infinity; Float.nan ] in
+  let same what a b =
+    if Int64.bits_of_float a <> Int64.bits_of_float b then
+      Alcotest.failf "%s: %h vs stdlib %h" what a b
+  in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          same (Printf.sprintf "fmin %h %h" x y) (Floatx.fmin x y) (Float.min x y);
+          same (Printf.sprintf "fmax %h %h" x y) (Floatx.fmax x y) (Float.max x y))
+        specials)
+    specials
+
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -156,6 +173,22 @@ let test_heap_empty () =
   Alcotest.(check (option int)) "pop" None (Heap.pop h);
   Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
       ignore (Heap.pop_exn h))
+
+let test_scalar2_transfer () =
+  let a = Heap.Scalar2.create () and b = Heap.Scalar2.create () in
+  List.iter (fun (k, v) -> Heap.Scalar2.add a ~key:k ~aux1:(k *. 10.) ~aux2:0. v)
+    [ (3., 3); (1., 1); (2., 2) ];
+  List.iter (fun (k, v) -> Heap.Scalar2.add b ~key:k ~aux1:(k *. 10.) ~aux2:0. v)
+    [ (2.5, 25); (0.5, 5) ];
+  Heap.Scalar2.transfer ~src:a b;
+  Alcotest.(check bool) "source emptied" true (Heap.Scalar2.is_empty a);
+  let popped = ref [] in
+  while not (Heap.Scalar2.is_empty b) do
+    let aux1 = Heap.Scalar2.min_aux1_exn b and key = Heap.Scalar2.min_key_exn b in
+    Alcotest.(check (float 0.)) "satellite rides along" (key *. 10.) aux1;
+    popped := Heap.Scalar2.pop_exn b :: !popped
+  done;
+  Alcotest.(check (list int)) "merged order" [ 5; 1; 2; 25; 3 ] (List.rev !popped)
 
 let prop_heap_sorts =
   QCheck2.Test.make ~name:"heap drains any list sorted" ~count:200
@@ -286,12 +319,14 @@ let () =
           Alcotest.test_case "clamp" `Quick test_clamp;
           Alcotest.test_case "approx_equal" `Quick test_approx_equal;
           Alcotest.test_case "min/max" `Quick test_min_max_arr;
+          Alcotest.test_case "fmin/fmax match stdlib" `Quick test_fmin_fmax_match_stdlib;
         ] );
       ( "heap",
         [
           Alcotest.test_case "basic" `Quick test_heap_basic;
           Alcotest.test_case "of_array" `Quick test_heap_of_array;
           Alcotest.test_case "empty" `Quick test_heap_empty;
+          Alcotest.test_case "scalar2 transfer" `Quick test_scalar2_transfer;
         ] );
       ( "stats",
         [
