@@ -15,7 +15,9 @@
    Ratio.vs_baseline, and the B6 live-engine
    benchmark driving every incremental core (Engine.Live) through the
    submit-one/advance feed rr_cli serve uses, gating sequential
-   throughput (>= 1M events/s at full scale) and <= 1e-9 agreement, and
+   throughput (>= 1M events/s at full scale), <= 1e-9 agreement and, for
+   the equal-share, priority-index and SETF cores, <= 16 allocated words
+   per job, and
    the B7 certified-bound benchmark gating the sparse LP network against
    the frozen dense lp-bound-n40 baseline (>= 25x, equal value), warm
    resolves against cold solves (<= 1e-9), and the wall-clock of a
@@ -1089,6 +1091,8 @@ type b6_point = {
   l_events_per_s : float;
   l_max_rel_diff : float;
   l_gate_eps : float;
+  l_words_per_job : float;
+  l_gate_words : float option;  (** [None]: allocation not gated. *)
 }
 
 type b6_report = {
@@ -1123,6 +1127,19 @@ let b6_cases =
         (Rr_policies.Registry.Wrr_age 2, 0.5e6);
         (Rr_policies.Registry.Hybrid 3., 1.0e6);
       ]
+
+(* The allocation gate of the live cores that follow the hot-path rule
+   (kernel.mli): the equal-share heap, the priority index and the SETF
+   cascade allocate nothing per event, so the incremental feed stays
+   under the bound B4 holds the closed streamed kernels to.  The dense
+   class kernels and the classified hybrid route completions through a
+   boxed sink call and are not gated. *)
+let b6_words_gated spec =
+  match spec with
+  | Rr_engine.Live.Equal_share | Rr_engine.Live.Indexed Rr_engine.Index_engine.Srpt
+  | Rr_engine.Live.Setf_cascade ->
+      true
+  | _ -> false
 
 let run_live_bench () =
   Gc.compact ();
@@ -1169,9 +1186,12 @@ let run_live_bench () =
     if !max_rel > diff_rtol then
       fail "B6: %s: max relative flow diff %.2e exceeds rtol %.0e"
         (Rr_engine.Live.spec_name spec) !max_rel diff_rtol;
-    (* Throughput: the full incremental feed, timed end to end. *)
+    (* Throughput and allocation: the full incremental feed, timed end
+       to end with the minor words it allocates (Job.t floats are already
+       boxed, so the feed itself allocates nothing per job). *)
     Gc.compact ();
     let live = Rr_engine.Live.create spec in
+    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     Array.iter
       (fun (j : Rr_engine.Job.t) ->
@@ -1180,21 +1200,31 @@ let run_live_bench () =
       jobs;
     Rr_engine.Live.drain live;
     let feed_s = Unix.gettimeofday () -. t0 in
+    let words_per_job = (Gc.minor_words () -. w0) /. Float.of_int n in
     let events = (Rr_engine.Live.query live).Rr_engine.Live.events in
     let eps = Float.of_int events /. Float.max 1e-9 feed_s in
-    if eps < gate_eps then
-      fail "B6: %s: %.2e events/s below gate %.1e" (Rr_engine.Live.spec_name spec) eps gate_eps;
+    let name = Rr_engine.Live.spec_name spec in
+    if eps < gate_eps then fail "B6: %s: %.2e events/s below gate %.1e" name eps gate_eps;
+    let gate_words = if b6_words_gated spec then Some b4_max_words_per_job else None in
+    (match gate_words with
+    | Some g when words_per_job > g ->
+        fail "B6: %s: %.1f allocated words/job exceeds gate %.0f" name words_per_job g
+    | _ -> ());
     Printf.printf
       "B6: %-13s n=%d incremental feed: %d events in %6.3f s | %8.0f kevents/s (gate \
-       >=%.0f k) | max rel diff %.2e\n%!"
-      (Rr_engine.Live.spec_name spec) n events feed_s (eps /. 1e3) (gate_eps /. 1e3) !max_rel;
+       >=%.0f k) | %5.1f words/job%s | max rel diff %.2e\n%!"
+      name n events feed_s (eps /. 1e3) (gate_eps /. 1e3) words_per_job
+      (match gate_words with Some g -> Printf.sprintf " (gate <=%.0f)" g | None -> "")
+      !max_rel;
     {
-      l_spec = Rr_engine.Live.spec_name spec;
+      l_spec = name;
       l_events = events;
       l_feed_s = feed_s;
       l_events_per_s = eps;
       l_max_rel_diff = !max_rel;
       l_gate_eps = gate_eps;
+      l_words_per_job = words_per_job;
+      l_gate_words = gate_words;
     }
   in
   let points = List.map point b6_cases in
@@ -1206,7 +1236,7 @@ let write_live_json (b6 : b6_report) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"bench_live/v1\",\n";
+  add "  \"schema\": \"bench_live/v2\",\n";
   add "  \"scale\": %S,\n" (if quick then "quick" else "full");
   add "  \"jobs\": %d, \"rtol\": %.0e,\n" b6.b6_n diff_rtol;
   add "  \"engines\": [\n";
@@ -1215,9 +1245,13 @@ let write_live_json (b6 : b6_report) =
       add
         "    {\"spec\": %S, \"events\": %d, \"feed_s\": %.6f, \"events_per_s\": %.1f, \
          \"max_rel_flow_diff\": %.3e, \"gate_min_events_per_s\": %.1f, \"gate_ok\": %b, \
+         \"words_per_job\": %.2f, \"gate_max_words_per_job\": %s, \"words_ok\": %b, \
          \"agree\": %b}%s\n"
         p.l_spec p.l_events p.l_feed_s p.l_events_per_s p.l_max_rel_diff p.l_gate_eps
         (p.l_events_per_s >= p.l_gate_eps)
+        p.l_words_per_job
+        (match p.l_gate_words with Some g -> Printf.sprintf "%.0f" g | None -> "null")
+        (match p.l_gate_words with Some g -> p.l_words_per_job <= g | None -> true)
         (p.l_max_rel_diff <= diff_rtol)
         (if i = List.length b6.b6_points - 1 then "" else ","))
     b6.b6_points;

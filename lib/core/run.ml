@@ -111,15 +111,15 @@ let engine_name cfg policy = engine_name_of (selection_for cfg policy)
 (* The engine's default livelock guard, shared with the closed engines. *)
 let default_max_events = 10_000_000
 
-let live_create cfg ?(max_events = default_max_events) spec =
-  Rr_engine.Live.create ~machines:cfg.machines ~speed:cfg.speed ~k:cfg.k ~max_events spec
+let live_create cfg ?(max_events = default_max_events) ?sink spec =
+  Rr_engine.Live.create ~machines:cfg.machines ~speed:cfg.speed ~k:cfg.k ~max_events ?sink spec
 
 (* Submit a materialized instance's jobs upfront (they arrive in release
    order with dense ids, so the live engine re-derives the same ids),
-   then drain.  The event sequence is identical to the closed engine's. *)
-let live_run_instance cfg spec ~sink jobs =
-  let live = live_create cfg spec in
-  Rr_engine.Live.set_sink live sink;
+   then drain.  The event sequence is identical to the closed engine's.
+   Without a [sink] the engine makes no per-completion call. *)
+let live_run_instance cfg spec ?sink jobs =
+  let live = live_create cfg ?sink spec in
   List.iter
     (fun (j : Rr_engine.Job.t) ->
       ignore (Rr_engine.Live.submit live ~arrival:j.arrival ~size:j.size : int))
@@ -132,8 +132,7 @@ let live_run_instance cfg spec ~sink jobs =
    O(alive) exactly like the closed streaming engines. *)
 let live_run_stream cfg spec ~max_events ~sink source =
   let module Source = Rr_engine.Simulator.Source in
-  let live = live_create cfg ~max_events spec in
-  Rr_engine.Live.set_sink live sink;
+  let live = live_create cfg ~max_events ~sink spec in
   while Source.has_more source do
     let arrival = Source.head_arrival source in
     ignore (Rr_engine.Live.submit live ~arrival ~size:(Source.head_size source) : int);
@@ -142,8 +141,6 @@ let live_run_stream cfg spec ~max_events ~sink source =
   done;
   Rr_engine.Live.drain live;
   Rr_engine.Live.query live
-
-let no_sink : Rr_engine.Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
 
 let simulate cfg policy inst =
   let jobs = Rr_workload.Instance.jobs inst in
@@ -256,7 +253,7 @@ let measure cfg (policy : Rr_engine.Policy.t) inst =
        than id order, the same ~1e-9 relative difference the streamed
        path exhibits (the distinct [engine] cache string keeps the
        entries from aliasing). *)
-    let q = live_run_instance cfg spec ~sink:no_sink (Rr_workload.Instance.jobs inst) in
+    let q = live_run_instance cfg spec (Rr_workload.Instance.jobs inst) in
     {
       Cache.n = q.Rr_engine.Live.completed;
       norm = q.Rr_engine.Live.norm;

@@ -19,14 +19,21 @@
    difference bounded well inside the 1e-9 relative tolerance the
    differential suite (test_live.ml) pins.
 
-   Everything in [state] is plain mutable data — heaps of float arrays,
-   a Queue of scalars, records, an option-linked group list — with no
-   closures, so a whole engine snapshots with [Marshal] (which handles
-   the SETF prev/next cycles via its sharing machinery).  The completion
-   sink is the one closure a live engine carries; it lives outside
-   [state] and is re-attached on restore. *)
+   The per-event code follows the hot-path rule of kernel.mli: scalar
+   times sit in the all-float {!clock}, pending jobs in a ring of two
+   float arrays, running slots in flat columns and SETF group levels in
+   all-float records; no closure, option or tuple is built per event, and
+   the completion folds are inlined.
+
+   Everything in [state] is plain mutable data — heaps and rings of float
+   arrays, records, an option-linked group list — with no closures, so a
+   whole engine snapshots with [Marshal] (which handles the SETF prev/next
+   cycles via its sharing machinery).  The completion sink is the one
+   closure a live engine carries; it lives outside [state] and is
+   re-attached on restore. *)
 
 module Heap = Rr_util.Heap
+module Floatx = Rr_util.Floatx
 
 type spec =
   | Equal_share
@@ -87,45 +94,118 @@ let spec_names =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Pending ring                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Submitted jobs not yet admitted, in submission = (arrival, id) order:
+   a growable ring of two float arrays.  The oldest pending job sits at
+   slot [head] and has id [submitted - len]; ids are dense, so the ring
+   stores none. *)
+type ring = {
+  mutable arrivals : float array;
+  mutable sizes : float array;
+  mutable head : int;
+  mutable len : int;
+}
+
+let ring_capacity = 1024
+
+let ring_create () =
+  {
+    arrivals = Array.make ring_capacity 0.;
+    sizes = Array.make ring_capacity 0.;
+    head = 0;
+    len = 0;
+  }
+
+(* Make room for [need] jobs, unrolling a wrapped ring to start at slot 0
+   (pending order is kept). *)
+let ring_reserve r need =
+  let cap = Array.length r.arrivals in
+  if need > cap then begin
+    let ncap = ref (Int.max ring_capacity cap) in
+    while !ncap < need do
+      ncap := 2 * !ncap
+    done;
+    let arrivals = Array.make !ncap 0. and sizes = Array.make !ncap 0. in
+    let upper = Int.min r.len (cap - r.head) in
+    Array.blit r.arrivals r.head arrivals 0 upper;
+    Array.blit r.sizes r.head sizes 0 upper;
+    Array.blit r.arrivals 0 arrivals upper (r.len - upper);
+    Array.blit r.sizes 0 sizes upper (r.len - upper);
+    r.arrivals <- arrivals;
+    r.sizes <- sizes;
+    r.head <- 0
+  end
+
+(* Append one job; the caller has reserved the slot. *)
+let[@inline] ring_push r ~arrival ~size =
+  let cap = Array.length r.arrivals in
+  let i = r.head + r.len in
+  let i = if i >= cap then i - cap else i in
+  r.arrivals.(i) <- arrival;
+  r.sizes.(i) <- size;
+  r.len <- r.len + 1
+
+let[@inline] ring_drop r =
+  let h = r.head + 1 in
+  r.head <- (if h = Array.length r.arrivals then 0 else h);
+  r.len <- r.len - 1
+
+(* The pending jobs alone, at exact capacity: what a snapshot stores. *)
+let ring_compact r =
+  let cap = Array.length r.arrivals in
+  let at i = if r.head + i >= cap then r.head + i - cap else r.head + i in
+  {
+    arrivals = Array.init r.len (fun i -> r.arrivals.(at i));
+    sizes = Array.init r.len (fun i -> r.sizes.(at i));
+    head = 0;
+    len = r.len;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Per-spec core state                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Equal share: the deadline heap IS the live state (key = admission
-   virtual time + size, aux1 = arrival, aux2 = size), plus the virtual
-   service clock. *)
-type eq_state = { eq_heap : Heap.Scalar2.t; mutable vsrv : float }
+   virtual time + size, aux1 = arrival, aux2 = size); the virtual service
+   clock lives in the engine's {!clock}.
 
-(* Priority index: <= m running slots scanned in O(m), everything else in
-   the waiting heap with the same uniform satellite layout as
-   index_engine.ml (key = Index_engine.job_key, aux1 = arrival,
+   Priority index: <= m running slots in flat columns scanned in O(m),
+   everything else in the waiting heap with the same uniform satellite
+   layout as index_engine.ml (key = Index_engine.job_key, aux1 = arrival,
    aux2 = size, aux3 = remaining). *)
-type slot = {
-  mutable s_id : int;
-  mutable s_arrival : float;
-  mutable s_size : float;
-  mutable s_remaining : float;
-}
-
 type idx_state = {
   kind : Index_engine.kind;
   waiting : Heap.Scalar3.t;
-  running : slot array;
+  r_id : int array;
+  r_arrival : float array;
+  r_size : float array;
+  r_remaining : float array;
   mutable n_run : int;
 }
 
 (* SETF: groups of equal attained service in a doubly-linked list sorted
-   by level ascending, lazy levels [(level, t_upd, grate)], per-group
-   member heaps keyed by size. *)
+   by level ascending, lazy all-float levels [(level, t_upd, grate)],
+   per-group member heaps keyed by size.  Each group carries its own
+   [Some] cell for linking, and emptied groups wait in a free list
+   (linked through [next]) with their heaps' capacity, so opening a group
+   allocates nothing in steady state. *)
+type level = { mutable level : float; mutable t_upd : float; mutable grate : float }
+
 type group = {
-  mutable level : float;
-  mutable t_upd : float;
-  mutable grate : float;
+  lv : level;
   members : Heap.Scalar2.t;
   mutable prev : group option;
   mutable next : group option;
+  self : group option;
 }
 
-type setf_state = { mutable first : group option; mutable setf_alive : int }
+type setf_state = {
+  mutable first : group option;
+  mutable setf_alive : int;
+  mutable spare : group option;
+}
 
 (* The classified cores reuse the closed engines' incremental state
    directly (class_engine.ml, hybrid_engine.ml, budget_engine.ml): one
@@ -134,7 +214,7 @@ type setf_state = { mutable first : group option; mutable setf_alive : int }
    allocate-once-per-event discipline, which is what keeps WRR-age's
    drifting weights split-safe. *)
 type core =
-  | Eq of eq_state
+  | Eq of Heap.Scalar2.t
   | Idx of idx_state
   | Setf of setf_state
   | Cls of Class_engine.state
@@ -144,6 +224,17 @@ type core =
 (* ------------------------------------------------------------------ *)
 (* Engine state                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* All-float, hence flat: stores never allocate (cf. {!Kernel.clock}). *)
+type clock = {
+  mutable now : float;
+  mutable t_next : float;  (** The Idx/Setf scans' earliest internal event. *)
+  mutable vsrv : float;  (** Equal share's virtual service clock. *)
+  mutable last_arrival : float;
+  mutable makespan : float;
+  mutable max_flow : float;
+  mutable flow : float;  (** The completing job's flow, read by {!fold_flow}. *)
+}
 
 type state = {
   spec : spec;
@@ -156,22 +247,17 @@ type state = {
      recomputed before the next event scan (after every processed event,
      admission or idle jump; never after a pure horizon split). *)
   mutable rates_dirty : bool;
-  (* Submitted jobs not yet admitted, in submission = (arrival, id)
-     order; arrivals are validated non-decreasing at [submit]. *)
-  pending : (int * float * float) Queue.t;
-  mutable now : float;
-  mutable last_arrival : float;
+  clk : clock;
+  pending : ring;
   mutable submitted : int;
   mutable completed : int;
   mutable events : int;
-  mutable makespan : float;
   mutable max_alive : int;
   (* O(1)-memory live metrics: the same accumulators Run.measure fuses —
-     Kahan power sum for the Lk norm, Welford moments, running max — plus
-     three P-squared sketches for the percentiles. *)
+     Kahan power sum for the Lk norm, Welford moments, running max (in
+     [clk]) — plus three P-squared sketches for the percentiles. *)
   ps : Rr_util.Kahan.t;
   moments : Rr_util.Welford.t;
-  mutable max_flow : float;
   p50 : Rr_util.P2.t;
   p90 : Rr_util.P2.t;
   p99 : Rr_util.P2.t;
@@ -179,7 +265,7 @@ type state = {
 
 (* [out] routes the classified kernels' completions into [complete]; it
    holds a closure, so it lives beside the snapshotted [state]. *)
-type t = { st : state; mutable sink : Simulator.sink; out : Kernel.out }
+type t = { st : state; sink : Simulator.sink option; out : Kernel.out }
 
 type stats = {
   submitted : int;
@@ -199,20 +285,28 @@ type stats = {
   p99 : float;
 }
 
-let no_sink : Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
-
-let complete (t : t) ~id ~arrival =
-  let st = t.st in
-  let flow = st.now -. arrival in
-  st.completed <- st.completed + 1;
-  st.makespan <- st.now;
-  Rr_util.Kahan.add st.ps (Rr_util.Floatx.powi flow st.k);
+(* Every metric fold of one completion, its flow read from [clk.flow].
+   One direct call per completion with no float argument; the folds
+   themselves are inlined here. *)
+let fold_flow (st : state) =
+  let c = st.clk in
+  let flow = c.flow in
+  Rr_util.Kahan.add st.ps (Floatx.powi flow st.k);
   Rr_util.Welford.add st.moments flow;
-  if flow > st.max_flow then st.max_flow <- flow;
+  if flow > c.max_flow then c.max_flow <- flow;
   Rr_util.P2.add st.p50 flow;
   Rr_util.P2.add st.p90 flow;
-  Rr_util.P2.add st.p99 flow;
-  t.sink ~id ~arrival ~flow
+  Rr_util.P2.add st.p99 flow
+
+let[@inline] complete (t : t) ~id ~arrival =
+  let st = t.st in
+  let c = st.clk in
+  let now = c.now in
+  st.completed <- st.completed + 1;
+  c.makespan <- now;
+  c.flow <- now -. arrival;
+  fold_flow st;
+  match t.sink with None -> () | Some sink -> sink ~id ~arrival ~flow:c.flow
 
 let wrap st sink =
   let rec t =
@@ -234,8 +328,7 @@ let wrap st sink =
    must not outlive a single borrow.  The allocation happens once per
    [create], not per run, so there is nothing for the arena to save
    here. *)
-let create ?(machines = 1) ?(speed = 1.) ?(k = 2) ?(max_events = max_int) ?(sink = no_sink)
-    spec =
+let create ?(machines = 1) ?(speed = 1.) ?(k = 2) ?(max_events = max_int) ?sink spec =
   if machines < 1 then invalid_arg "Live.create: machines must be >= 1";
   if not (Float.is_finite speed && speed > 0.) then
     invalid_arg "Live.create: speed must be finite and positive";
@@ -246,20 +339,20 @@ let create ?(machines = 1) ?(speed = 1.) ?(k = 2) ?(max_events = max_int) ?(sink
       {
         kind;
         waiting = Heap.Scalar3.create ();
-        running =
-          Array.init machines (fun _ ->
-              { s_id = -1; s_arrival = 0.; s_size = 0.; s_remaining = 0. });
+        r_id = Array.make machines (-1);
+        r_arrival = Array.make machines 0.;
+        r_size = Array.make machines 0.;
+        r_remaining = Array.make machines 0.;
         n_run = 0;
       }
   in
   let core =
     match spec with
-    | Equal_share | Classified Policy_class.Equal_share ->
-        Eq { eq_heap = Heap.Scalar2.create (); vsrv = 0. }
+    | Equal_share | Classified Policy_class.Equal_share -> Eq (Heap.Scalar2.create ())
     | Indexed kind -> idx_core kind
     | Classified (Policy_class.Static_key key) -> idx_core (Index_engine.kind_of_key key)
     | Setf_cascade | Classified Policy_class.Attained_cascade ->
-        Setf { first = None; setf_alive = 0 }
+        Setf { first = None; setf_alive = 0; spare = None }
     | Classified (Policy_class.Starvation_hybrid { theta }) ->
         Hyb (Hybrid_engine.create ~machines ~speed ~theta)
     | Classified (Policy_class.Preempt_budget { budget }) ->
@@ -280,17 +373,23 @@ let create ?(machines = 1) ?(speed = 1.) ?(k = 2) ?(max_events = max_int) ?(sink
       max_events;
       core;
       rates_dirty = true;
-      pending = Queue.create ();
-      now = 0.;
-      last_arrival = 0.;
+      clk =
+        {
+          now = 0.;
+          t_next = Float.infinity;
+          vsrv = 0.;
+          last_arrival = 0.;
+          makespan = 0.;
+          max_flow = 0.;
+          flow = 0.;
+        };
+      pending = ring_create ();
       submitted = 0;
       completed = 0;
       events = 0;
-      makespan = 0.;
       max_alive = 0;
       ps = Rr_util.Kahan.create ();
       moments = Rr_util.Welford.create ();
-      max_flow = 0.;
       p50 = Rr_util.P2.create ~p:0.5 ();
       p90 = Rr_util.P2.create ~p:0.9 ();
       p99 = Rr_util.P2.create ~p:0.99 ();
@@ -298,52 +397,53 @@ let create ?(machines = 1) ?(speed = 1.) ?(k = 2) ?(max_events = max_int) ?(sink
   in
   wrap st sink
 
-let set_sink t sink = t.sink <- sink
-
 (* ------------------------------------------------------------------ *)
 (* Submission                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let submit t ~arrival ~size =
   let st = t.st in
-  if not (Rr_util.Floatx.is_finite_nonneg arrival) then
+  let c = st.clk in
+  if not (Floatx.is_finite_nonneg arrival) then
     invalid_arg "Live.submit: arrival must be a finite non-negative float";
   if not (Float.is_finite size && size > 0.) then
     invalid_arg "Live.submit: size must be finite and positive";
-  if arrival < st.last_arrival then
+  if arrival < c.last_arrival then
     invalid_arg
       (Printf.sprintf
          "Live.submit: arrivals must be non-decreasing (%g after %g)" arrival
-         st.last_arrival);
-  if arrival < st.now then
+         c.last_arrival);
+  if arrival < c.now then
     invalid_arg
       (Printf.sprintf "Live.submit: arrival %g is in the simulated past (now = %g)" arrival
-         st.now);
+         c.now);
   let id = st.submitted in
+  ring_reserve st.pending (st.pending.len + 1);
+  ring_push st.pending ~arrival ~size;
   st.submitted <- id + 1;
-  st.last_arrival <- arrival;
-  Queue.add (id, arrival, size) st.pending;
+  c.last_arrival <- arrival;
   id
 
-(* Bulk submission: exactly the pending-queue pushes [submit] would
-   perform for the same jobs in the same order (bit-identical engine
-   state, differentially pinned by test_serve), with the validation pass
-   hoisted out in front.  The whole slice is checked before anything
-   mutates, so a rejected batch leaves the engine untouched — the
-   serving layer answers ERR off that atomicity without corrupting the
-   session ([rr_cli serve]'s BATCH frame lands here). *)
+(* Bulk submission: exactly the ring pushes [submit] would perform for
+   the same jobs in the same order (bit-identical engine state,
+   differentially pinned by test_serve), with the validation pass hoisted
+   out in front.  The whole slice is checked before anything mutates, so
+   a rejected batch leaves the engine untouched — the serving layer
+   answers ERR off that atomicity without corrupting the session
+   ([rr_cli serve]'s BATCH frame lands here). *)
 let submit_batch t ~arrivals ~sizes ?(off = 0) ?len () =
   let st = t.st in
+  let c = st.clk in
   let len = match len with Some l -> l | None -> Array.length arrivals - off in
   if
     off < 0 || len < 0
     || off + len > Array.length arrivals
     || off + len > Array.length sizes
   then invalid_arg "Live.submit_batch: off/len out of bounds";
-  let last = ref st.last_arrival in
+  let last = ref c.last_arrival in
   for i = off to off + len - 1 do
     let arrival = Array.unsafe_get arrivals i and size = Array.unsafe_get sizes i in
-    if not (Rr_util.Floatx.is_finite_nonneg arrival) then
+    if not (Floatx.is_finite_nonneg arrival) then
       invalid_arg "Live.submit: arrival must be a finite non-negative float";
     if not (Float.is_finite size && size > 0.) then
       invalid_arg "Live.submit: size must be finite and positive";
@@ -351,19 +451,20 @@ let submit_batch t ~arrivals ~sizes ?(off = 0) ?len () =
       invalid_arg
         (Printf.sprintf "Live.submit: arrivals must be non-decreasing (%g after %g)" arrival
            !last);
-    if arrival < st.now then
+    if arrival < c.now then
       invalid_arg
         (Printf.sprintf "Live.submit: arrival %g is in the simulated past (now = %g)" arrival
-           st.now);
+           c.now);
     last := arrival
   done;
-  let first = st.submitted in
-  for i = 0 to len - 1 do
-    Queue.add (first + i, Array.unsafe_get arrivals (off + i), Array.unsafe_get sizes (off + i))
-      st.pending
+  let r = st.pending in
+  ring_reserve r (r.len + len);
+  for i = off to off + len - 1 do
+    ring_push r ~arrival:(Array.unsafe_get arrivals i) ~size:(Array.unsafe_get sizes i)
   done;
+  let first = st.submitted in
   st.submitted <- first + len;
-  if len > 0 then st.last_arrival <- arrivals.(off + len - 1);
+  if len > 0 then c.last_arrival <- arrivals.(off + len - 1);
   first
 
 (* ------------------------------------------------------------------ *)
@@ -372,65 +473,57 @@ let submit_batch t ~arrivals ~sizes ?(off = 0) ?len () =
 
 (* Same float as Simulator.completion_threshold, inlined like the closed
    cores do. *)
-let threshold size = 1e-9 *. (1. +. size)
+let[@inline] threshold size = 1e-9 *. (1. +. size)
 
 let alive_core (st : state) =
   match st.core with
-  | Eq e -> Heap.Scalar2.length e.eq_heap
+  | Eq h -> Heap.Scalar2.length h
   | Idx i -> i.n_run + Heap.Scalar3.length i.waiting
   | Setf s -> s.setf_alive
   | Cls c -> Class_engine.alive c
   | Hyb h -> Hybrid_engine.alive h
   | Bud b -> Budget_engine.alive b
 
-let note_alive (st : state) =
-  let a = alive_core st in
-  if a > st.max_alive then st.max_alive <- a
+let[@inline] next_pending (st : state) =
+  let r = st.pending in
+  if r.len > 0 then r.arrivals.(r.head) else Float.infinity
 
-let next_pending (st : state) =
-  match Queue.peek_opt st.pending with Some (_, a, _) -> a | None -> Float.infinity
-
-let bump_events (st : state) =
+let[@inline] bump_events (st : state) =
   st.events <- st.events + 1;
   if st.events > st.max_events then
-    raise (Simulator.Event_limit_exceeded { limit = st.max_events; now = st.now })
+    raise (Simulator.Event_limit_exceeded { limit = st.max_events; now = st.clk.now })
 
 (* ------------------------------------------------------------------ *)
 (* Admission (mirrors each closed core's admit)                        *)
 (* ------------------------------------------------------------------ *)
 
-let eq_admit (st : state) (e : eq_state) ~id ~arrival ~size =
-  Heap.Scalar2.add e.eq_heap ~key:(e.vsrv +. size) ~aux1:arrival ~aux2:size id;
-  note_alive st
+let[@inline] slot_key (i : idx_state) x =
+  Index_engine.job_key i.kind ~arrival:i.r_arrival.(x) ~size:i.r_size.(x)
+    ~remaining:i.r_remaining.(x)
 
-let slot_key kind (s : slot) =
-  Index_engine.job_key kind ~arrival:s.s_arrival ~size:s.s_size ~remaining:s.s_remaining
+let[@inline] fill (i : idx_state) x ~id ~arrival ~size ~remaining =
+  i.r_id.(x) <- id;
+  i.r_arrival.(x) <- arrival;
+  i.r_size.(x) <- size;
+  i.r_remaining.(x) <- remaining
 
-let idx_push_waiting (i : idx_state) ~id ~arrival ~size ~remaining =
+let[@inline] idx_push_waiting (i : idx_state) ~id ~arrival ~size ~remaining =
   Heap.Scalar3.add i.waiting
     ~key:(Index_engine.job_key i.kind ~arrival ~size ~remaining)
     ~aux1:arrival ~aux2:size ~aux3:remaining id
 
-let idx_pop_into_free_slot (i : idx_state) =
-  let a1 = Heap.Scalar3.min_aux1_exn i.waiting in
-  let a2 = Heap.Scalar3.min_aux2_exn i.waiting in
-  let a3 = Heap.Scalar3.min_aux3_exn i.waiting in
+(* Slot [n_run] takes the best waiting job. *)
+let[@inline] idx_pop_into_free_slot (i : idx_state) =
+  let arrival = Heap.Scalar3.min_aux1_exn i.waiting in
+  let size = Heap.Scalar3.min_aux2_exn i.waiting in
+  let remaining = Heap.Scalar3.min_aux3_exn i.waiting in
   let id = Heap.Scalar3.pop_exn i.waiting in
-  let s = i.running.(i.n_run) in
-  s.s_id <- id;
-  s.s_arrival <- a1;
-  s.s_size <- a2;
-  s.s_remaining <- a3;
+  fill i i.n_run ~id ~arrival ~size ~remaining;
   i.n_run <- i.n_run + 1
 
-let idx_admit (st : state) (i : idx_state) ~id ~arrival ~size =
-  let machines = st.machines in
+let[@inline] idx_admit machines (i : idx_state) ~id ~arrival ~size =
   if i.n_run < machines then begin
-    let s = i.running.(i.n_run) in
-    s.s_id <- id;
-    s.s_arrival <- arrival;
-    s.s_size <- size;
-    s.s_remaining <- size;
+    fill i i.n_run ~id ~arrival ~size ~remaining:size;
     i.n_run <- i.n_run + 1
   end
   else begin
@@ -438,344 +531,373 @@ let idx_admit (st : state) (i : idx_state) ~id ~arrival ~size =
        (key, id) — same tournament as index_core.admit. *)
     let w = ref 0 in
     for x = 1 to machines - 1 do
-      let a = i.running.(x) and b = i.running.(!w) in
-      let ka = slot_key i.kind a and kb = slot_key i.kind b in
-      if ka > kb || (ka = kb && a.s_id > b.s_id) then w := x
+      let ka = slot_key i x and kb = slot_key i !w in
+      if ka > kb || (ka = kb && i.r_id.(x) > i.r_id.(!w)) then w := x
     done;
-    let s = i.running.(!w) in
+    let w = !w in
     let kj = Index_engine.job_key i.kind ~arrival ~size ~remaining:size in
-    let ks = slot_key i.kind s in
-    if kj < ks || (kj = ks && id < s.s_id) then begin
-      idx_push_waiting i ~id:s.s_id ~arrival:s.s_arrival ~size:s.s_size
-        ~remaining:s.s_remaining;
-      s.s_id <- id;
-      s.s_arrival <- arrival;
-      s.s_size <- size;
-      s.s_remaining <- size
+    let ks = slot_key i w in
+    if kj < ks || (kj = ks && id < i.r_id.(w)) then begin
+      idx_push_waiting i ~id:i.r_id.(w) ~arrival:i.r_arrival.(w) ~size:i.r_size.(w)
+        ~remaining:i.r_remaining.(w);
+      fill i w ~id ~arrival ~size ~remaining:size
     end
     else idx_push_waiting i ~id ~arrival ~size ~remaining:size
-  end;
-  note_alive st
+  end
 
-let level_at (g : group) ~speed now = g.level +. (g.grate *. speed *. (now -. g.t_upd))
+let[@inline] level_at (g : group) ~speed now =
+  g.lv.level +. (g.lv.grate *. speed *. (now -. g.lv.t_upd))
 
+(* Unlink an emptied group and park it on the free list. *)
 let setf_unlink (s : setf_state) (g : group) =
   (match g.prev with None -> s.first <- g.next | Some p -> p.next <- g.next);
-  match g.next with None -> () | Some nx -> nx.prev <- g.prev
+  (match g.next with None -> () | Some nx -> nx.prev <- g.prev);
+  Heap.Scalar2.clear g.members;
+  g.prev <- None;
+  g.next <- s.spare;
+  s.spare <- g.self
 
-let setf_admit (st : state) (s : setf_state) ~id ~arrival ~size =
-  let speed = st.speed and now = st.now in
-  let joined =
-    match s.first with
-    | Some g when Index_engine.same_attained 0. (level_at g ~speed now) ->
-        Heap.Scalar2.add g.members ~key:size ~aux1:arrival ~aux2:0. id;
-        true
-    | _ -> false
-  in
-  if not joined then begin
-    let members = Heap.Scalar2.create () in
-    Heap.Scalar2.add members ~key:size ~aux1:arrival ~aux2:0. id;
-    let g = { level = 0.; t_upd = now; grate = 0.; members; prev = None; next = s.first } in
-    (match s.first with None -> () | Some old -> old.prev <- Some g);
-    s.first <- Some g
-  end;
-  s.setf_alive <- s.setf_alive + 1;
-  note_alive st
+let setf_take_group (s : setf_state) =
+  match s.spare with
+  | Some g ->
+      s.spare <- g.next;
+      g
+  | None ->
+      let rec g =
+        {
+          lv = { level = 0.; t_upd = 0.; grate = 0. };
+          members = Heap.Scalar2.create ();
+          prev = None;
+          next = None;
+          self = Some g;
+        }
+      in
+      g
 
-let admit (st : state) ~id ~arrival ~size =
-  st.rates_dirty <- true;
-  match st.core with
-  | Eq e -> eq_admit st e ~id ~arrival ~size
-  | Idx i -> idx_admit st i ~id ~arrival ~size
-  | Setf s -> setf_admit st s ~id ~arrival ~size
-  | Cls c ->
-      Class_engine.admit c ~id ~arrival ~size;
-      note_alive st
-  | Hyb h ->
-      Hybrid_engine.admit h ~id ~arrival ~size;
-      note_alive st
-  | Bud b ->
-      Budget_engine.admit b ~id ~arrival ~size;
-      note_alive st
+let[@inline] setf_admit ~speed ~now (s : setf_state) ~id ~arrival ~size =
+  (match s.first with
+  | Some g when Index_engine.same_attained 0. (level_at g ~speed now) ->
+      Heap.Scalar2.add g.members ~key:size ~aux1:arrival ~aux2:0. id
+  | _ ->
+      let g = setf_take_group s in
+      g.lv.level <- 0.;
+      g.lv.t_upd <- now;
+      g.lv.grate <- 0.;
+      g.prev <- None;
+      g.next <- s.first;
+      Heap.Scalar2.add g.members ~key:size ~aux1:arrival ~aux2:0. id;
+      (match s.first with None -> () | Some old -> old.prev <- g.self);
+      s.first <- g.self);
+  s.setf_alive <- s.setf_alive + 1
 
-let admit_upto (st : state) now =
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt st.pending with
-    | Some (id, arrival, size) when arrival <= now ->
-        ignore (Queue.pop st.pending);
-        admit st ~id ~arrival ~size
-    | _ -> continue := false
+(* Admit every pending job whose arrival is at or before [now]. *)
+let admit_upto (st : state) =
+  let r = st.pending and c = st.clk in
+  while r.len > 0 && r.arrivals.(r.head) <= c.now do
+    let arrival = r.arrivals.(r.head) and size = r.sizes.(r.head) in
+    let id = st.submitted - r.len in
+    ring_drop r;
+    st.rates_dirty <- true;
+    (match st.core with
+    | Eq h -> Heap.Scalar2.add h ~key:(c.vsrv +. size) ~aux1:arrival ~aux2:size id
+    | Idx i -> idx_admit st.machines i ~id ~arrival ~size
+    | Setf s -> setf_admit ~speed:st.speed ~now:c.now s ~id ~arrival ~size
+    | Cls e -> Class_engine.admit e ~id ~arrival ~size
+    | Hyb h -> Hybrid_engine.admit h ~id ~arrival ~size
+    | Bud b -> Budget_engine.admit b ~id ~arrival ~size);
+    let a = alive_core st in
+    if a > st.max_alive then st.max_alive <- a
   done
-
-(* ------------------------------------------------------------------ *)
-(* SETF water-filling and event scan (mirrors setf_core)               *)
-(* ------------------------------------------------------------------ *)
-
-let setf_refill (st : state) (s : setf_state) =
-  let speed = st.speed and now = st.now in
-  let rec go g left =
-    match g with
-    | None -> ()
-    | Some g ->
-        g.level <- level_at g ~speed now;
-        g.t_upd <- now;
-        if left > 0. then begin
-          let cnt = Float.of_int (Heap.Scalar2.length g.members) in
-          let r = Float.min 1. (left /. cnt) in
-          g.grate <- r;
-          go g.next (if r < 1. then 0. else left -. cnt)
-        end
-        else if g.grate > 0. then begin
-          g.grate <- 0.;
-          go g.next 0.
-        end
-  in
-  go s.first (Float.of_int st.machines)
-
-(* Earliest within-group completion or adjacent catch-up in the advancing
-   prefix; [infinity] when nothing advances (empty system). *)
-let setf_internal_event (st : state) (s : setf_state) =
-  let speed = st.speed and now = st.now in
-  let t_next = ref Float.infinity in
-  let rec scan = function
-    | None -> ()
-    | Some (g : group) ->
-        if g.grate > 0. then begin
-          let c = now +. ((Heap.Scalar2.min_key_exn g.members -. g.level) /. (g.grate *. speed)) in
-          if c < !t_next then t_next := c;
-          (match g.next with
-          | Some h ->
-              let closing = (g.grate -. h.grate) *. speed in
-              let gap = level_at h ~speed now -. g.level in
-              if closing > 0. && gap > 0. then begin
-                let t = now +. (gap /. closing) in
-                if t < !t_next then t_next := t
-              end
-          | None -> ());
-          scan g.next
-        end
-  in
-  scan s.first;
-  !t_next
 
 (* ------------------------------------------------------------------ *)
 (* The incremental event loop                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* Each [*_step] advances the state across one inter-event interval or up
+   to [target], whichever comes first.  It returns [true] when a full
+   event was processed (so the loop should continue) and [false] when the
+   horizon was reached, and mirrors one iteration of the matching closed
+   core's while loop. *)
+
+let[@inline] eq_retire (t : t) h =
+  let id = Heap.Scalar2.min_val_exn h in
+  let arrival = Heap.Scalar2.min_aux1_exn h in
+  ignore (Heap.Scalar2.pop_exn h : int);
+  complete t ~id ~arrival
+
+let eq_step (t : t) h ~target =
+  let st = t.st in
+  let c = st.clk in
+  let n_alive = Heap.Scalar2.length h in
+  let share = Floatx.fmin 1. (Float.of_int st.machines /. Float.of_int n_alive) in
+  let rate = share *. st.speed in
+  let t_complete = c.now +. ((Heap.Scalar2.min_key_exn h -. c.vsrv) /. rate) in
+  let next_arrival = next_pending st in
+  let is_completion = not (next_arrival < t_complete) in
+  let t_next = if is_completion then t_complete else next_arrival in
+  if t_next > target then begin
+    (* Horizon splits the interval: advance the virtual clock to
+       [target] and stop; no event fires. *)
+    c.vsrv <- c.vsrv +. (rate *. (target -. c.now));
+    c.now <- target;
+    false
+  end
+  else begin
+    bump_events st;
+    c.vsrv <- c.vsrv +. (rate *. (t_next -. c.now));
+    c.now <- t_next;
+    if is_completion then eq_retire t h;
+    while
+      (not (Heap.Scalar2.is_empty h))
+      && Heap.Scalar2.min_key_exn h -. c.vsrv <= threshold (Heap.Scalar2.min_aux2_exn h)
+    do
+      eq_retire t h
+    done;
+    admit_upto st;
+    true
+  end
+
+let idx_step (t : t) (i : idx_state) ~target =
+  let st = t.st in
+  let c = st.clk in
+  let speed = st.speed in
+  let t_complete = ref Float.infinity in
+  for x = 0 to i.n_run - 1 do
+    let cand = c.now +. (i.r_remaining.(x) /. speed) in
+    if cand < !t_complete then t_complete := cand
+  done;
+  let next_arrival = next_pending st in
+  let t_next = if next_arrival < !t_complete then next_arrival else !t_complete in
+  if t_next > target then begin
+    let dt = target -. c.now in
+    for x = 0 to i.n_run - 1 do
+      i.r_remaining.(x) <- i.r_remaining.(x) -. (speed *. dt)
+    done;
+    c.now <- target;
+    false
+  end
+  else begin
+    bump_events st;
+    let dt = t_next -. c.now in
+    for x = 0 to i.n_run - 1 do
+      i.r_remaining.(x) <- i.r_remaining.(x) -. (speed *. dt)
+    done;
+    c.now <- t_next;
+    (* Retire finished slots (the last running slot moves into the
+       retiring one, iterating downwards). *)
+    for x = i.n_run - 1 downto 0 do
+      if i.r_remaining.(x) <= threshold i.r_size.(x) then begin
+        complete t ~id:i.r_id.(x) ~arrival:i.r_arrival.(x);
+        i.n_run <- i.n_run - 1;
+        let l = i.n_run in
+        if x < l then
+          fill i x ~id:i.r_id.(l) ~arrival:i.r_arrival.(l) ~size:i.r_size.(l)
+            ~remaining:i.r_remaining.(l)
+      end
+    done;
+    while i.n_run < st.machines && not (Heap.Scalar3.is_empty i.waiting) do
+      idx_pop_into_free_slot i
+    done;
+    admit_upto st;
+    true
+  end
+
+(* SETF water-filling from the front (mirrors setf_core's refill). *)
+let setf_refill (st : state) (s : setf_state) =
+  let speed = st.speed and now = st.clk.now in
+  let left = ref (Float.of_int st.machines) in
+  let cur = ref s.first in
+  let walking = ref true in
+  while !walking do
+    match !cur with
+    | None -> walking := false
+    | Some g ->
+        let lv = g.lv in
+        lv.level <- level_at g ~speed now;
+        lv.t_upd <- now;
+        if !left > 0. then begin
+          let cnt = Float.of_int (Heap.Scalar2.length g.members) in
+          let r = Floatx.fmin 1. (!left /. cnt) in
+          lv.grate <- r;
+          left := if r < 1. then 0. else !left -. cnt;
+          cur := g.next
+        end
+        else if lv.grate > 0. then begin
+          lv.grate <- 0.;
+          cur := g.next
+        end
+        else walking := false
+  done
+
+(* Earliest within-group completion or adjacent catch-up in the advancing
+   prefix, into [clk.t_next]; [infinity] when nothing advances (empty
+   system). *)
+let setf_scan (st : state) (s : setf_state) =
+  let speed = st.speed and now = st.clk.now in
+  let t_next = ref Float.infinity in
+  let cur = ref s.first in
+  let walking = ref true in
+  while !walking do
+    match !cur with
+    | Some g when g.lv.grate > 0. ->
+        let cand =
+          now +. ((Heap.Scalar2.min_key_exn g.members -. g.lv.level) /. (g.lv.grate *. speed))
+        in
+        if cand < !t_next then t_next := cand;
+        (match g.next with
+        | Some h ->
+            let closing = (g.lv.grate -. h.lv.grate) *. speed in
+            let gap = level_at h ~speed now -. g.lv.level in
+            if closing > 0. && gap > 0. then begin
+              let tc = now +. (gap /. closing) in
+              if tc < !t_next then t_next := tc
+            end
+        | None -> ());
+        cur := g.next
+    | _ -> walking := false
+  done;
+  st.clk.t_next <- !t_next
+
+let setf_step (t : t) (s : setf_state) ~target =
+  let st = t.st in
+  let c = st.clk in
+  let speed = st.speed in
+  (* Rates reflect the structure left by the previous event. *)
+  setf_refill st s;
+  setf_scan st s;
+  let next_arrival = next_pending st in
+  let t_next = if next_arrival < c.t_next then next_arrival else c.t_next in
+  if t_next > target then begin
+    (* Levels are lazy [(level, t_upd, grate)]; no event fires in
+       (now, target], so moving the clock is the whole advance. *)
+    c.now <- target;
+    false
+  end
+  else begin
+    bump_events st;
+    let dt = t_next -. c.now in
+    (* Advance the prefix to [t_next] (materializing levels there). *)
+    let cur = ref s.first in
+    let walking = ref true in
+    while !walking do
+      match !cur with
+      | Some g when g.lv.grate > 0. ->
+          g.lv.level <- g.lv.level +. (g.lv.grate *. speed *. dt);
+          g.lv.t_upd <- t_next;
+          cur := g.next
+      | _ -> walking := false
+    done;
+    c.now <- t_next;
+    (* Retire every member whose residual crossed the completion
+       threshold — the cascade pops in (size, id) order. *)
+    cur := s.first;
+    walking := true;
+    while !walking do
+      match !cur with
+      | Some g when g.lv.grate > 0. ->
+          let nxt = g.next in
+          while
+            (not (Heap.Scalar2.is_empty g.members))
+            && Heap.Scalar2.min_key_exn g.members -. g.lv.level
+               <= threshold (Heap.Scalar2.min_key_exn g.members)
+          do
+            let arrival = Heap.Scalar2.min_aux1_exn g.members in
+            let id = Heap.Scalar2.pop_exn g.members in
+            complete t ~id ~arrival;
+            s.setf_alive <- s.setf_alive - 1
+          done;
+          if Heap.Scalar2.is_empty g.members then setf_unlink s g;
+          cur := nxt
+      | _ -> walking := false
+    done;
+    (* Catch-ups: an advancing group that reached its neighbour's level
+       merges into it, small heap into large. *)
+    let now = c.now in
+    cur := s.first;
+    walking := true;
+    while !walking do
+      match !cur with
+      | Some g when g.lv.grate > 0. -> (
+          match g.next with
+          | Some h when Index_engine.same_attained g.lv.level (level_at h ~speed now) ->
+              let lvl = level_at h ~speed now in
+              let into_h = Heap.Scalar2.length g.members <= Heap.Scalar2.length h.members in
+              let src = if into_h then g else h and keep = if into_h then h else g in
+              Heap.Scalar2.transfer ~src:src.members keep.members;
+              keep.lv.level <- lvl;
+              keep.lv.t_upd <- now;
+              keep.lv.grate <- Floatx.fmax g.lv.grate h.lv.grate;
+              setf_unlink s src;
+              cur := keep.self
+          | _ -> cur := g.next)
+      | _ -> walking := false
+    done;
+    admit_upto st;
+    true
+  end
 
 (* One step of a classified kernel, through the same primitives the
    closed {!Kernel} loop drives: refresh the cached decision only when
    the state changed since the last event (admission, settle, idle jump)
    — a pure horizon split keeps the rates, exactly like the general
    loop's allocate-once-per-event discipline.  The kernel's clock
-   mirrors [st.now] around each call. *)
-let kernel_step (type s) (t : t) (ops : s Kernel.ops) (c : s) ~target =
+   mirrors [now] around each call. *)
+let kernel_step (type s) (t : t) (ops : s Kernel.ops) (core : s) ~target =
   let st = t.st in
-  let clk = ops.clock_of c in
-  clk.now <- st.now;
+  let c = st.clk in
+  let clk = ops.clock_of core in
+  clk.now <- c.now;
   if st.rates_dirty then begin
-    ops.refresh c;
+    ops.refresh core;
     st.rates_dirty <- false
   end;
-  ops.next_internal c;
+  ops.next_internal core;
   let next_arrival = next_pending st in
   if next_arrival < clk.t_next then clk.t_next <- next_arrival;
   if clk.t_next > target then begin
-    if target -. st.now > 0. then begin
+    if target -. c.now > 0. then begin
       clk.t_next <- target;
-      ops.advance c
+      ops.advance core
     end;
-    st.now <- target;
+    c.now <- target;
     false
   end
   else begin
     bump_events st;
-    if clk.t_next -. st.now > 0. then ops.advance c;
-    st.now <- clk.t_next;
-    clk.now <- st.now;
-    ops.settle c t.out;
-    admit_upto st st.now;
+    if clk.t_next -. c.now > 0. then ops.advance core;
+    c.now <- clk.t_next;
+    clk.now <- c.now;
+    ops.settle core t.out;
+    admit_upto st;
     st.rates_dirty <- true;
     true
   end
 
-(* Advance the state across one inter-event interval or up to [target],
-   whichever comes first.  Returns [true] when a full event was processed
-   (so the loop should continue) and [false] when the horizon was reached.
-   Mirrors one iteration of the matching closed core's while loop. *)
 let step (t : t) ~target =
   let st = t.st in
   if alive_core st = 0 then begin
-    match Queue.peek_opt st.pending with
-    | Some (_, a, _) when a <= target ->
-        (* Idle period: jump straight to the next arrival. *)
-        bump_events st;
-        st.now <- a;
-        admit_upto st st.now;
-        true
-    | _ ->
-        (* Idle through the whole horizon.  An infinite horizon (drain)
-           leaves [now] at the makespan instead of consuming it. *)
-        if Float.is_finite target && target > st.now then st.now <- target;
-        false
+    let c = st.clk in
+    let a = next_pending st in
+    if st.pending.len > 0 && a <= target then begin
+      (* Idle period: jump straight to the next arrival. *)
+      bump_events st;
+      c.now <- a;
+      admit_upto st;
+      true
+    end
+    else begin
+      (* Idle through the whole horizon.  An infinite horizon (drain)
+         leaves [now] at the makespan instead of consuming it. *)
+      if Float.is_finite target && target > c.now then c.now <- target;
+      false
+    end
   end
   else
     match st.core with
-    | Eq e ->
-        let n_alive = Heap.Scalar2.length e.eq_heap in
-        let share = Float.min 1. (Float.of_int st.machines /. Float.of_int n_alive) in
-        let rate = share *. st.speed in
-        let t_complete = st.now +. ((Heap.Scalar2.min_key_exn e.eq_heap -. e.vsrv) /. rate) in
-        let next_arrival = next_pending st in
-        let is_completion = not (next_arrival < t_complete) in
-        let t_next = if is_completion then t_complete else next_arrival in
-        if t_next > target then begin
-          (* Horizon splits the interval: advance the virtual clock to
-             [target] and stop; no event fires. *)
-          e.vsrv <- e.vsrv +. (rate *. (target -. st.now));
-          st.now <- target;
-          false
-        end
-        else begin
-          bump_events st;
-          e.vsrv <- e.vsrv +. (rate *. (t_next -. st.now));
-          st.now <- t_next;
-          let retire () =
-            let id = Heap.Scalar2.min_val_exn e.eq_heap in
-            let arrival = Heap.Scalar2.min_aux1_exn e.eq_heap in
-            ignore (Heap.Scalar2.pop_exn e.eq_heap : int);
-            complete t ~id ~arrival
-          in
-          if is_completion then retire ();
-          while
-            (not (Heap.Scalar2.is_empty e.eq_heap))
-            && Heap.Scalar2.min_key_exn e.eq_heap -. e.vsrv
-               <= threshold (Heap.Scalar2.min_aux2_exn e.eq_heap)
-          do
-            retire ()
-          done;
-          admit_upto st st.now;
-          true
-        end
-    | Idx i ->
-        let t_complete = ref Float.infinity in
-        for x = 0 to i.n_run - 1 do
-          let c = st.now +. (i.running.(x).s_remaining /. st.speed) in
-          if c < !t_complete then t_complete := c
-        done;
-        let next_arrival = next_pending st in
-        let t_next = if next_arrival < !t_complete then next_arrival else !t_complete in
-        if t_next > target then begin
-          let dt = target -. st.now in
-          for x = 0 to i.n_run - 1 do
-            let s = i.running.(x) in
-            s.s_remaining <- s.s_remaining -. (st.speed *. dt)
-          done;
-          st.now <- target;
-          false
-        end
-        else begin
-          bump_events st;
-          let dt = t_next -. st.now in
-          for x = 0 to i.n_run - 1 do
-            let s = i.running.(x) in
-            s.s_remaining <- s.s_remaining -. (st.speed *. dt)
-          done;
-          st.now <- t_next;
-          for x = i.n_run - 1 downto 0 do
-            let s = i.running.(x) in
-            if s.s_remaining <= threshold s.s_size then begin
-              complete t ~id:s.s_id ~arrival:s.s_arrival;
-              i.n_run <- i.n_run - 1;
-              if x < i.n_run then begin
-                i.running.(x) <- i.running.(i.n_run);
-                i.running.(i.n_run) <- s
-              end
-            end
-          done;
-          while i.n_run < st.machines && not (Heap.Scalar3.is_empty i.waiting) do
-            idx_pop_into_free_slot i
-          done;
-          admit_upto st st.now;
-          true
-        end
-    | Setf s ->
-        (* Rates reflect the structure left by the previous event. *)
-        setf_refill st s;
-        let t_internal = setf_internal_event st s in
-        let next_arrival = next_pending st in
-        let t_next = if next_arrival < t_internal then next_arrival else t_internal in
-        if t_next > target then begin
-          (* Levels are lazy [(level, t_upd, grate)]; no event fires in
-             (now, target], so moving the clock is the whole advance. *)
-          st.now <- target;
-          false
-        end
-        else begin
-          bump_events st;
-          let dt = t_next -. st.now in
-          let rec advance = function
-            | None -> ()
-            | Some (g : group) ->
-                if g.grate > 0. then begin
-                  g.level <- g.level +. (g.grate *. st.speed *. dt);
-                  g.t_upd <- t_next;
-                  advance g.next
-                end
-          in
-          advance s.first;
-          st.now <- t_next;
-          let rec retire = function
-            | None -> ()
-            | Some (g : group) ->
-                if g.grate > 0. then begin
-                  let nxt = g.next in
-                  while
-                    (not (Heap.Scalar2.is_empty g.members))
-                    && Heap.Scalar2.min_key_exn g.members -. g.level
-                       <= threshold (Heap.Scalar2.min_key_exn g.members)
-                  do
-                    let arrival = Heap.Scalar2.min_aux1_exn g.members in
-                    let id = Heap.Scalar2.pop_exn g.members in
-                    complete t ~id ~arrival;
-                    s.setf_alive <- s.setf_alive - 1
-                  done;
-                  if Heap.Scalar2.is_empty g.members then setf_unlink s g;
-                  retire nxt
-                end
-          in
-          retire s.first;
-          let rec merge_pass = function
-            | None -> ()
-            | Some (g : group) ->
-                if g.grate > 0. then
-                  match g.next with
-                  | Some h
-                    when Index_engine.same_attained g.level (level_at h ~speed:st.speed st.now)
-                    ->
-                      let lvl = level_at h ~speed:st.speed st.now in
-                      let src, keep =
-                        if Heap.Scalar2.length g.members <= Heap.Scalar2.length h.members
-                        then (g, h)
-                        else (h, g)
-                      in
-                      Heap.Scalar2.iter
-                        (fun size id arrival _ ->
-                          Heap.Scalar2.add keep.members ~key:size ~aux1:arrival ~aux2:0. id)
-                        src.members;
-                      Heap.Scalar2.clear src.members;
-                      keep.level <- lvl;
-                      keep.t_upd <- st.now;
-                      keep.grate <- Float.max g.grate h.grate;
-                      setf_unlink s src;
-                      merge_pass (Some keep)
-                  | _ -> merge_pass g.next
-          in
-          merge_pass s.first;
-          admit_upto st st.now;
-          true
-        end
-    | Cls c -> kernel_step t Class_engine.ops c ~target
+    | Eq h -> eq_step t h ~target
+    | Idx i -> idx_step t i ~target
+    | Setf s -> setf_step t s ~target
+    | Cls e -> kernel_step t Class_engine.ops e ~target
     | Hyb h -> kernel_step t Hybrid_engine.ops h ~target
     | Bud b -> kernel_step t Budget_engine.ops b ~target
 
@@ -786,7 +908,7 @@ let advance_until t ~target =
 
 let advance t target =
   if Float.is_nan target then invalid_arg "Live.advance: time must not be NaN";
-  if Float.is_finite target && target > t.st.now then advance_until t ~target
+  if Float.is_finite target && target > t.st.clk.now then advance_until t ~target
 (* A target at or before [now] is a no-op — time never rewinds.  An
    infinite target is treated as drain. *)
   else if target = Float.infinity then advance_until t ~target:Float.infinity
@@ -799,19 +921,20 @@ let drain t = advance_until t ~target:Float.infinity
 
 let query (t : t) =
   let st = t.st in
+  let c = st.clk in
   let n = st.completed in
   let power_sum = Rr_util.Kahan.total st.ps in
   {
     submitted = st.submitted;
     completed = n;
     alive = alive_core st;
-    pending = Queue.length st.pending;
-    now = st.now;
+    pending = st.pending.len;
+    now = c.now;
     events = st.events;
-    makespan = st.makespan;
+    makespan = c.makespan;
     max_alive = st.max_alive;
     mean_flow = Rr_util.Welford.mean st.moments;
-    max_flow = st.max_flow;
+    max_flow = c.max_flow;
     power_sum;
     norm = (if n = 0 then 0. else power_sum ** (1. /. Float.of_int st.k));
     p50 = Rr_util.P2.value st.p50;
@@ -819,7 +942,7 @@ let query (t : t) =
     p99 = Rr_util.P2.value st.p99;
   }
 
-let now t = t.st.now
+let now t = t.st.clk.now
 let spec t = t.st.spec
 let machines t = t.st.machines
 let speed t = t.st.speed
@@ -831,15 +954,21 @@ let k t = t.st.k
 
 (* [state] is closure-free, so Marshal round-trips it; the default flags
    keep sharing on, which is what resolves the SETF group list's
-   prev/next cycles.  A short magic header versions the format so a junk
-   file fails loudly instead of segfaulting the unmarshaller. *)
+   prev/next cycles.  A snapshot stores the pending ring at exact size and
+   no SETF free list, so idle capacity costs no bytes; both regrow on
+   demand after a restore.  A short magic header versions the format so a
+   junk file — or a snapshot of an older state layout — fails loudly
+   instead of segfaulting the unmarshaller. *)
 
-let snapshot_magic = "rr-live-snapshot-v3\n"
+let snapshot_magic = "rr-live-snapshot-v4\n"
 
 let to_bytes t =
-  Bytes.cat (Bytes.of_string snapshot_magic) (Marshal.to_bytes t.st [])
+  let st = t.st in
+  let core = match st.core with Setf s -> Setf { s with spare = None } | core -> core in
+  let st = { st with core; pending = ring_compact st.pending } in
+  Bytes.cat (Bytes.of_string snapshot_magic) (Marshal.to_bytes st [])
 
-let of_bytes ?(sink = no_sink) b =
+let of_bytes ?sink b =
   let m = String.length snapshot_magic in
   if
     Bytes.length b < m
@@ -852,7 +981,7 @@ let save t path =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_bytes oc (to_bytes t))
 
-let load ?(sink = no_sink) path =
+let load ?sink path =
   In_channel.with_open_bin path (fun ic ->
       match In_channel.input_all ic with
-      | s -> of_bytes ~sink (Bytes.of_string s))
+      | s -> of_bytes ?sink (Bytes.of_string s))

@@ -23,6 +23,12 @@
     pieces, a rounding difference bounded well inside the 1e-9 relative
     flow-time tolerance pinned by the differential suite (test_live.ml).
 
+    The per-event code follows the hot-path rule of {!Kernel} (DESIGN.md
+    §4.6): the equal-share, priority-index and SETF cores allocate
+    nothing per submit, event or completion — pending jobs wait in a ring
+    of float arrays, and the metric folds are inlined — and an engine
+    created without a [sink] makes no sink call.
+
     Engine state is closure-free, so a whole engine — mid-run, with jobs
     alive and pending — serializes with {!to_bytes}/{!save} and resumes
     with {!of_bytes}/{!load}; [rr_cli serve] builds its SNAPSHOT/RESTORE
@@ -96,11 +102,10 @@ val create :
     events as in the closed engines, for livelock parity
     (@raise Simulator.Event_limit_exceeded from {!advance}/{!drain} when
     exceeded).  [sink] is called once per completion with the job's id,
-    arrival and flow time, on top of the built-in metric folds.
+    arrival and flow time, on top of the built-in metric folds; without
+    one, a completion makes no call at all.  Snapshots never capture the
+    sink ({!of_bytes} and {!load} take their own).
     @raise Invalid_argument on non-positive [machines]/[speed]/[k]. *)
-
-val set_sink : t -> Simulator.sink -> unit
-(** Replace the completion sink (snapshots never capture it). *)
 
 val submit : t -> arrival:float -> size:float -> int
 (** Submit one job; returns its dense id (0, 1, 2, ... in submission

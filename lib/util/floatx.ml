@@ -7,7 +7,13 @@ let approx_equal ?(rtol = 1e-9) ?(atol = 1e-12) a b =
    with straight-line unboxed arithmetic and only falls back here for
    k >= 4.  The small cases multiply in the same association the
    recursion would ([powi x 3 = x *. (x *. x)]), so results stay
-   bit-identical. *)
+   bit-identical.
+
+   The tail's result is multiplied by [1.] — the identity on every float
+   [powi_big] can return — so every branch is an unboxed float operation
+   and an inlined [powi] feeding an unboxed consumer (a Kahan fold)
+   boxes nothing; a bare call in one branch would box the result of all
+   of them. *)
 let rec powi_big x k =
   if k = 0 then 1.
   else if k land 1 = 1 then x *. powi_big x (k - 1)
@@ -20,7 +26,7 @@ let[@inline] powi x k =
   if k = 1 then x
   else if k = 2 then x *. x
   else if k = 3 then x *. (x *. x)
-  else powi_big x k
+  else powi_big x k *. 1.
 
 (* [Float.min]/[Float.max] decide a strict inequality with one
    comparison but go through a C call ([sign_bit]) whenever the answer is

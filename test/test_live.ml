@@ -160,6 +160,15 @@ let test_snapshot_roundtrip () =
       Live.advance live horizon;
       let bytes = Live.to_bytes live in
       let restored = Live.of_bytes bytes in
+      (* A snapshot stores the pending ring at exact size; pushing past it
+         regrows the restored copy's ring. *)
+      let shift = (List.nth jobs (List.length jobs - 1)).Rr_engine.Job.arrival +. 1. in
+      List.iter
+        (fun (j : Rr_engine.Job.t) ->
+          List.iter
+            (fun e -> ignore (Live.submit e ~arrival:(shift +. j.arrival) ~size:j.size))
+            [ live; restored ])
+        jobs;
       Live.drain live;
       Live.drain restored;
       let a = Live.query live and b = Live.query restored in
@@ -195,6 +204,127 @@ let test_snapshot_file_roundtrip () =
   Alcotest.check_raises "of_bytes rejects garbage"
     (Failure "Live.of_bytes: not a live-engine snapshot") (fun () ->
       ignore (Live.of_bytes (Bytes.of_string "definitely not a snapshot")))
+
+(* Any buffer whose header is not the current layout's magic — an older
+   snapshot version included — is refused before unmarshalling. *)
+let test_snapshot_old_version_rejected () =
+  let live = Live.create Live.Equal_share in
+  ignore (Live.submit live ~arrival:0. ~size:2.);
+  Live.advance live 1.;
+  let current = Live.to_bytes live in
+  let magic_len = String.index (Bytes.to_string current) '\n' + 1 in
+  let old =
+    Bytes.cat
+      (Bytes.of_string "rr-live-snapshot-v3\n")
+      (Bytes.sub current magic_len (Bytes.length current - magic_len))
+  in
+  Alcotest.check_raises "of_bytes rejects a v3 snapshot"
+    (Failure "Live.of_bytes: not a live-engine snapshot") (fun () ->
+      ignore (Live.of_bytes old))
+
+(* ------------------------------------------------------------------ *)
+(* Pending ring: growth and wrap-around                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The pending ring starts at 1024 slots.  This feed submits 2000 jobs
+   before the first advance (growth from empty), advances part-way so the
+   head moves off slot 0, then submits in batches while the live region
+   wraps past the end of the arrays and grows again mid-wrap.  Every
+   horizon is an arrival instant, which never splits an inter-event
+   interval, so the flows must equal the one-at-a-time feed (submit a
+   job, advance to its arrival) bit for bit. *)
+let ring_feed_n = 6000
+
+let one_at_a_time ~machines spec (arrivals, sizes) =
+  let flows = Array.make ring_feed_n nan in
+  let sink ~id ~arrival:_ ~flow = flows.(id) <- flow in
+  let live = Live.create ~machines ~sink spec in
+  for i = 0 to ring_feed_n - 1 do
+    ignore (Live.submit live ~arrival:arrivals.(i) ~size:sizes.(i));
+    Live.advance live arrivals.(i)
+  done;
+  Live.drain live;
+  (flows, Live.query live)
+
+let wrapped_feed ~machines spec (arrivals, sizes) =
+  let flows = Array.make ring_feed_n nan in
+  let sink ~id ~arrival:_ ~flow = flows.(id) <- flow in
+  let live = Live.create ~machines ~sink spec in
+  let name = Live.spec_name spec in
+  let check_counts what ~submitted ~pending =
+    let q = Live.query live in
+    Alcotest.(check int) (Printf.sprintf "%s %s: submitted" name what) submitted q.Live.submitted;
+    Alcotest.(check int) (Printf.sprintf "%s %s: pending" name what) pending q.Live.pending
+  in
+  (* Growth before any advance, through single submits. *)
+  for i = 0 to 1999 do
+    ignore (Live.submit live ~arrival:arrivals.(i) ~size:sizes.(i))
+  done;
+  check_counts "after upfront submits" ~submitted:2000 ~pending:2000;
+  Live.advance live arrivals.(1499);
+  check_counts "after the first advance" ~submitted:2000 ~pending:500;
+  (* Batches of 600 from slot 2000 wrap the live region past the end of
+     the 2048-slot arrays; the third outgrows them while wrapped (500 +
+     3 x 600 pending).  From then on each batch is followed by an advance
+     to an arrival inside the already-submitted prefix. *)
+  let off = ref 2000 in
+  while !off < 5000 do
+    let first = Live.submit_batch live ~arrivals ~sizes ~off:!off ~len:600 () in
+    Alcotest.(check int) (name ^ ": batch ids are dense") !off first;
+    off := !off + 600;
+    if !off = 3800 then check_counts "after growing while wrapped" ~submitted:3800 ~pending:2300;
+    if !off >= 3800 then Live.advance live arrivals.(!off - 700)
+  done;
+  let before = Live.query live in
+  (* A rejected batch after growth, bad in its last job, changes
+     nothing. *)
+  let bad_arrivals = Array.sub arrivals 5000 1000 and bad_sizes = Array.sub sizes 5000 1000 in
+  bad_sizes.(999) <- -1.;
+  (match Live.submit_batch live ~arrivals:bad_arrivals ~sizes:bad_sizes () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: a batch with a negative size was accepted" name);
+  check_counts "after a rejected batch" ~submitted:before.Live.submitted
+    ~pending:before.Live.pending;
+  for i = 5000 to ring_feed_n - 1 do
+    ignore (Live.submit live ~arrival:arrivals.(i) ~size:sizes.(i));
+    if i mod 97 = 0 then Live.advance live arrivals.(i - 50)
+  done;
+  Live.drain live;
+  (flows, Live.query live)
+
+let test_ring_growth_and_wrap () =
+  let machines = 2 in
+  let inst = poisson_instance ~seed:19 ~machines ~n:ring_feed_n in
+  let jobs = Array.of_list (Instance.jobs inst) in
+  let feed =
+    ( Array.map (fun (j : Rr_engine.Job.t) -> j.arrival) jobs,
+      Array.map (fun (j : Rr_engine.Job.t) -> j.size) jobs )
+  in
+  List.iter
+    (fun (spec, policy) ->
+      let name = Live.spec_name spec in
+      let ref_flows, ref_stats = one_at_a_time ~machines spec feed in
+      let flows, stats = wrapped_feed ~machines spec feed in
+      Array.iteri
+        (fun id f ->
+          if Int64.bits_of_float f <> Int64.bits_of_float ref_flows.(id) then
+            Alcotest.failf "%s job %d: wrapped feed %h vs one-at-a-time %h" name id f
+              ref_flows.(id))
+        flows;
+      Alcotest.(check int) (name ^ " events") ref_stats.Live.events stats.Live.events;
+      Alcotest.(check (float 0.)) (name ^ " power_sum") ref_stats.Live.power_sum
+        stats.Live.power_sum;
+      Alcotest.(check (float 0.)) (name ^ " p99") ref_stats.Live.p99 stats.Live.p99;
+      let general =
+        Run.flows (Run.config ~machines ~cache:false ~engine:`General ()) policy inst
+      in
+      Array.iteri
+        (fun id f ->
+          if rel_diff f general.(id) > flow_rtol then
+            Alcotest.failf "%s job %d: wrapped feed %.17g vs general loop %.17g" name id f
+              general.(id))
+        flows)
+    live_specs
 
 (* ------------------------------------------------------------------ *)
 (* Submit validation and resumability                                  *)
@@ -299,7 +429,12 @@ let () =
           Alcotest.test_case "mid-flight bytes round-trip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "file round-trip + garbage rejection" `Quick
             test_snapshot_file_roundtrip;
+          Alcotest.test_case "older snapshot version rejected" `Quick
+            test_snapshot_old_version_rejected;
         ] );
+      ( "pending ring",
+        [ Alcotest.test_case "growth and wrap match the one-at-a-time feed" `Quick
+            test_ring_growth_and_wrap ] );
       ( "lifecycle",
         [ Alcotest.test_case "submit validation and resume after drain" `Quick test_submit_validation ] );
       ( "selection",

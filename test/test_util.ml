@@ -153,6 +153,27 @@ let test_fmin_fmax_match_stdlib () =
         specials)
     specials
 
+(* [powi] must equal plain square-and-multiply recursion bit for bit
+   for every exponent, including the k >= 4 tail, on special values
+   too. *)
+let test_powi_bit_exact () =
+  let rec reference x k =
+    if k = 0 then 1.
+    else if k land 1 = 1 then x *. reference x (k - 1)
+    else
+      let h = reference x (k / 2) in
+      h *. h
+  in
+  let xs = [ 0.; -0.; 1.; -1.; 0.3; -2.5; 1e-200; 1e200; Float.infinity; Float.nan ] in
+  List.iter
+    (fun x ->
+      for k = 0 to 12 do
+        let a = Floatx.powi x k and b = reference x k in
+        if Int64.bits_of_float a <> Int64.bits_of_float b then
+          Alcotest.failf "powi %h %d: %h vs reference %h" x k a b
+      done)
+    xs
+
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -234,6 +255,86 @@ let prop_welford_matches_direct =
       let var = Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. a /. n in
       Float.abs (Welford.variance w -. var) <= 1e-6 *. (1. +. var))
 
+(* The textbook P-squared update (Jain & Chlamtac), bounds-checked and
+   loop-based: [P2.add] must track it bit for bit on every input, ties
+   and signed zeros included. *)
+let p2_reference ~p xs =
+  let q = Array.make 5 0. and np = Array.make 5 0. and pos = [| 1.; 2.; 3.; 4.; 5. |] in
+  let dnp = [| 0.; p /. 2.; p; (1. +. p) /. 2.; 1. |] in
+  let count = ref 0 in
+  let parabolic i d =
+    q.(i)
+    +. d
+       /. (pos.(i + 1) -. pos.(i - 1))
+       *. (((pos.(i) -. pos.(i - 1) +. d) *. (q.(i + 1) -. q.(i)) /. (pos.(i + 1) -. pos.(i)))
+          +. ((pos.(i + 1) -. pos.(i) -. d) *. (q.(i) -. q.(i - 1)) /. (pos.(i) -. pos.(i - 1))))
+  in
+  let linear i d =
+    let j = i + int_of_float d in
+    q.(i) +. (d *. (q.(j) -. q.(i)) /. (pos.(j) -. pos.(i)))
+  in
+  List.iter
+    (fun x ->
+      incr count;
+      if !count <= 5 then begin
+        q.(!count - 1) <- x;
+        if !count = 5 then begin
+          Array.sort Float.compare q;
+          for i = 0 to 4 do
+            np.(i) <- 1. +. (4. *. dnp.(i))
+          done
+        end
+      end
+      else begin
+        let k =
+          if x < q.(0) then begin
+            q.(0) <- x;
+            0
+          end
+          else if x >= q.(4) then begin
+            q.(4) <- Float.max q.(4) x;
+            3
+          end
+          else begin
+            let k = ref 0 in
+            for i = 1 to 3 do
+              if x >= q.(i) then k := i
+            done;
+            !k
+          end
+        in
+        for i = k + 1 to 4 do
+          pos.(i) <- pos.(i) +. 1.
+        done;
+        for i = 0 to 4 do
+          np.(i) <- np.(i) +. dnp.(i)
+        done;
+        for i = 1 to 3 do
+          let d = np.(i) -. pos.(i) in
+          if (d >= 1. && pos.(i + 1) -. pos.(i) > 1.) || (d <= -1. && pos.(i - 1) -. pos.(i) < -1.)
+          then begin
+            let d = if d >= 0. then 1. else -1. in
+            let candidate = parabolic i d in
+            q.(i) <- (if q.(i - 1) < candidate && candidate < q.(i + 1) then candidate else linear i d);
+            pos.(i) <- pos.(i) +. d
+          end
+        done
+      end)
+    xs;
+  if !count > 5 then q.(2) else nan
+
+let prop_p2_matches_reference =
+  QCheck2.Test.make ~name:"p2 matches the textbook update bit for bit" ~count:300
+    QCheck2.Gen.(
+      pair
+        (oneofl [ 0.1; 0.5; 0.9; 0.99 ])
+        (list_size (int_range 6 300)
+           (oneof [ float_range (-5.) 5.; oneofl [ 0.; -0.; 1.; 2.; 1e300 ] ])))
+    (fun (p, xs) ->
+      let sketch = P2.create ~p () in
+      List.iter (P2.add sketch) xs;
+      Int64.bits_of_float (P2.value sketch) = Int64.bits_of_float (p2_reference ~p xs))
+
 let test_percentile () =
   let a = [| 1.; 2.; 3.; 4. |] in
   check_float "p0" 1. (Stats.percentile a ~p:0.);
@@ -288,7 +389,13 @@ let test_fcell () =
   Alcotest.(check string) "tiny" "1.000e-09" (Table.fcell 1e-9)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
-  [ prop_heap_sorts; prop_heap_of_array_sorts; prop_welford_matches_direct; prop_jain_bounds ]
+  [
+    prop_heap_sorts;
+    prop_heap_of_array_sorts;
+    prop_welford_matches_direct;
+    prop_p2_matches_reference;
+    prop_jain_bounds;
+  ]
 
 let () =
   Alcotest.run "rr_util"
@@ -316,6 +423,7 @@ let () =
       ( "floatx",
         [
           Alcotest.test_case "powi" `Quick test_powi_matches_pow;
+          Alcotest.test_case "powi bit-exact" `Quick test_powi_bit_exact;
           Alcotest.test_case "clamp" `Quick test_clamp;
           Alcotest.test_case "approx_equal" `Quick test_approx_equal;
           Alcotest.test_case "min/max" `Quick test_min_max_arr;
